@@ -1,9 +1,8 @@
 // Ablation study (not in the paper, motivated by §IV): contribution of each
 // sharing technique. Runs the mixed workload with individual techniques
 // disabled and reports plan cost and measured throughput.
-//
-// Flags: --events=N, --queries=N, --ratio=R (basic ratio %), --seed=S.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -23,17 +22,20 @@ struct Variant {
   RewriterOptions options;
 };
 
-int Run(const Flags& flags) {
-  int64_t num_events = flags.GetInt("events", 40000);
-  int num_queries = static_cast<int>(flags.GetInt("queries", 60));
-  double ratio = flags.GetDouble("ratio", 50.0) / 100.0;
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+const std::vector<FlagSpec> kFlags = {
+    {"events", kInt, "40000", kPositive, "stream length"},
+    {"queries", kInt, "60", kPositive, "queries in the workload"},
+    {"ratio", kDouble, "50", kZero, "basic workload ratio r, in percent"},
+    {"seed", kInt, "1", kNone, "stream and workload seed"},
+};
+
+int Run(const FlagSet& flags) {
+  int num_queries = static_cast<int>(flags.Int("queries"));
+  double ratio = flags.Double("ratio") / 100.0;
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
 
   EventTypeRegistry registry;
-  StreamOptions stream_options;
-  stream_options.num_events = num_events;
-  stream_options.seed = seed;
-  EventStream stream = GenerateStream(stream_options, &registry);
+  EventStream stream = BenchStream(flags, &registry);
   StreamStats stats = ComputeStats(stream);
 
   WorkloadOptions workload_options;
@@ -103,8 +105,8 @@ int Run(const Flags& flags) {
 }  // namespace motto::bench
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner("Ablation — sharing technique contributions",
-                            "MOTTO with individual techniques disabled.");
-  return motto::bench::Run(flags);
+  return motto::bench::Run(motto::bench::ParseFlags(
+      argc, argv, motto::bench::kFlags,
+      "Ablation — sharing technique contributions",
+      "MOTTO with individual techniques disabled."));
 }

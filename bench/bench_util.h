@@ -4,58 +4,47 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common/flags.h"
+#include "workload/data_gen.h"
 
 namespace motto::bench {
 
-/// Minimal --key=value flag parser shared by the figure benches.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
+using enum FlagKind;
+using enum FlagMin;
+
+/// Parses a figure bench's flags against its table (common/flags.h) and
+/// prints the bench's banner. --help prints the usage and exits 0; a flag
+/// the table refuses prints the error and exits 1.
+inline FlagSet ParseFlags(int argc, char** argv, std::vector<FlagSpec> specs,
+                          const std::string& title,
+                          const std::string& description) {
+  FlagSet flags(std::string("usage: ") + argv[0] + " [flags]\n  " + title +
+                    ": " + description,
+                std::move(specs));
+  Status status = flags.Parse(std::vector<std::string>(argv + 1, argv + argc));
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    std::exit(1);
   }
-
-  int64_t GetInt(std::string_view name, int64_t fallback) const {
-    std::string value;
-    if (!Lookup(name, &value)) return fallback;
-    return std::strtoll(value.c_str(), nullptr, 10);
+  if (flags.help_requested()) {
+    std::printf("%s", flags.Usage().c_str());
+    std::exit(0);
   }
-
-  double GetDouble(std::string_view name, double fallback) const {
-    std::string value;
-    if (!Lookup(name, &value)) return fallback;
-    return std::strtod(value.c_str(), nullptr);
-  }
-
-  bool GetBool(std::string_view name, bool fallback) const {
-    std::string value;
-    if (!Lookup(name, &value)) return fallback;
-    return value != "0" && value != "false";
-  }
-
- private:
-  bool Lookup(std::string_view name, std::string* value) const {
-    std::string prefix = "--" + std::string(name) + "=";
-    for (const std::string& arg : args_) {
-      if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-      }
-      if (arg == "--" + std::string(name)) {
-        *value = "true";
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<std::string> args_;
-};
-
-inline void PrintBanner(const std::string& title,
-                        const std::string& description) {
   std::printf("== %s ==\n%s\n\n", title.c_str(), description.c_str());
+  return flags;
+}
+
+/// The stream a figure bench replays: --events stock-market events generated
+/// from --seed.
+inline EventStream BenchStream(const FlagSet& flags,
+                               EventTypeRegistry* registry) {
+  StreamOptions options;
+  options.num_events = flags.Int("events");
+  options.seed = static_cast<uint64_t>(flags.Int("seed"));
+  return GenerateStream(options, registry);
 }
 
 }  // namespace motto::bench

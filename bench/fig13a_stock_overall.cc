@@ -1,16 +1,14 @@
 // Reproduces Fig 13a: overall comparison on the stock market monitoring
 // scenario — normalized throughput of NA/MST/LCSE/MOTTO vs basic workload
 // ratio r.
-//
-// Flags: --events=N (stream length; --full = paper-scale 2M),
-//        --queries=N (default 100), --seed=S, --exact_budget=SECONDS.
 #include "overall_comparison.h"
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner(
-      "Fig 13a — stock market monitoring, overall comparison",
-      "Normalized throughput vs basic workload ratio r (100 queries).");
-  return motto::bench::RunOverallComparison(motto::Scenario::kStockMarket,
-                                            flags);
+  const motto::Scenario scenario = motto::Scenario::kStockMarket;
+  return motto::bench::RunOverallComparison(
+      scenario,
+      motto::bench::ParseFlags(
+          argc, argv, motto::bench::OverallComparisonFlags(scenario),
+          "Fig 13a — stock market monitoring, overall comparison",
+          "Normalized throughput vs basic workload ratio r (100 queries)."));
 }

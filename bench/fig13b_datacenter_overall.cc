@@ -1,16 +1,14 @@
 // Reproduces Fig 13b: overall comparison on the data center monitoring
 // scenario — normalized throughput of NA/MST/LCSE/MOTTO vs basic workload
 // ratio r.
-//
-// Flags: --events=N (stream length; --full = paper-scale 4M),
-//        --queries=N (default 100), --seed=S, --exact_budget=SECONDS.
 #include "overall_comparison.h"
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner(
-      "Fig 13b — data center monitoring, overall comparison",
-      "Normalized throughput vs basic workload ratio r (100 queries).");
-  return motto::bench::RunOverallComparison(motto::Scenario::kDataCenter,
-                                            flags);
+  const motto::Scenario scenario = motto::Scenario::kDataCenter;
+  return motto::bench::RunOverallComparison(
+      scenario,
+      motto::bench::ParseFlags(
+          argc, argv, motto::bench::OverallComparisonFlags(scenario),
+          "Fig 13b — data center monitoring, overall comparison",
+          "Normalized throughput vs basic workload ratio r (100 queries)."));
 }

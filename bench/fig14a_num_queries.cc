@@ -1,11 +1,9 @@
 // Reproduces Fig 14a: throughput improvement and optimization overhead as
 // the number of queries grows, exact (branch & bound) vs approximate
 // (simulated annealing) planning.
-//
-// Flags: --events=N, --seed=S, --exact_budget=SECONDS (default 10),
-//        --max_queries=N (default 140), --sa_iterations=N.
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -17,18 +15,24 @@
 namespace motto::bench {
 namespace {
 
-int Run(const Flags& flags) {
-  int64_t num_events = flags.GetInt("events", 40000);
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  int max_queries = static_cast<int>(flags.GetInt("max_queries", 140));
-  double exact_budget = flags.GetDouble("exact_budget", 10.0);
-  int sa_iterations = static_cast<int>(flags.GetInt("sa_iterations", 20000));
+const std::vector<FlagSpec> kFlags = {
+    {"events", kInt, "40000", kPositive, "stream length"},
+    {"seed", kInt, "1", kNone, "stream and workload seed"},
+    {"max_queries", kInt, "140", kPositive,
+     "largest workload; sizes step by 20 from 20"},
+    {"exact_budget", kDouble, "10", kZero, "B&B budget in seconds"},
+    {"sa_iterations", kInt, "20000", kPositive,
+     "simulated-annealing iterations"},
+};
+
+int Run(const FlagSet& flags) {
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
+  int max_queries = static_cast<int>(flags.Int("max_queries"));
+  double exact_budget = flags.Double("exact_budget");
+  int sa_iterations = static_cast<int>(flags.Int("sa_iterations"));
 
   EventTypeRegistry registry;
-  StreamOptions stream_options;
-  stream_options.num_events = num_events;
-  stream_options.seed = seed;
-  EventStream stream = GenerateStream(stream_options, &registry);
+  EventStream stream = BenchStream(flags, &registry);
   StreamStats stats = ComputeStats(stream);
 
   std::printf(
@@ -45,57 +49,43 @@ int Run(const Flags& flags) {
     auto workload = GenerateWorkload(workload_options, &registry);
     MOTTO_CHECK(workload.ok()) << workload.status();
 
-    auto measure = [&](bool force_approximate, double* eps, double* opt_s,
-                       bool* exact) {
+    struct Measured {
+      double eps = 0.0;
+      double opt_s = 0.0;
+      bool exact = false;
+    };
+    auto measure = [&](OptimizerMode mode, bool force_approximate) {
       OptimizerOptions options;
-      options.mode = OptimizerMode::kMotto;
+      options.mode = mode;
       options.planner.exact_budget_seconds = exact_budget;
       options.planner.force_approximate = force_approximate;
       options.planner.sa_iterations = sa_iterations;
       Optimizer optimizer(&registry, stats, options);
       auto outcome = optimizer.Optimize(workload->queries);
       MOTTO_CHECK(outcome.ok()) << outcome.status();
-      *opt_s = outcome->rewrite_seconds + outcome->plan_seconds;
-      *exact = outcome->exact;
+      Measured measured;
+      measured.opt_s = outcome->rewrite_seconds + outcome->plan_seconds;
+      measured.exact = outcome->exact;
       auto executor = Executor::Create(std::move(outcome->jqp));
       MOTTO_CHECK(executor.ok()) << executor.status();
       ExecutorOptions measure;
       measure.count_matches_only = true;
       executor->Run(stream, measure).status();  // Warmup.
-      double best = 0;
       for (int rep = 0; rep < 3; ++rep) {
         auto run = executor->Run(stream, measure);
         MOTTO_CHECK(run.ok()) << run.status();
-        best = std::max(best, run->ThroughputEps());
+        measured.eps = std::max(measured.eps, run->ThroughputEps());
       }
-      *eps = best;
+      return measured;
     };
 
-    OptimizerOptions na_options;
-    na_options.mode = OptimizerMode::kNa;
-    Optimizer na_optimizer(&registry, stats, na_options);
-    auto na_outcome = na_optimizer.Optimize(workload->queries);
-    MOTTO_CHECK(na_outcome.ok()) << na_outcome.status();
-    auto na_executor = Executor::Create(std::move(na_outcome->jqp));
-    MOTTO_CHECK(na_executor.ok());
-    ExecutorOptions na_measure;
-    na_measure.count_matches_only = true;
-    na_executor->Run(stream, na_measure).status();  // Warmup.
-    double na_eps = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto na_run = na_executor->Run(stream, na_measure);
-      MOTTO_CHECK(na_run.ok());
-      na_eps = std::max(na_eps, na_run->ThroughputEps());
-    }
-
-    double exact_eps = 0, exact_opt = 0, sa_eps = 0, sa_opt = 0;
-    bool exact_flag = false, sa_flag = false;
-    measure(false, &exact_eps, &exact_opt, &exact_flag);
-    measure(true, &sa_eps, &sa_opt, &sa_flag);
+    Measured na = measure(OptimizerMode::kNa, false);
+    Measured exact = measure(OptimizerMode::kMotto, false);
+    Measured sa = measure(OptimizerMode::kMotto, true);
 
     std::printf(" %3d | %9.0f | %9.2f | %11.3f | %6s | %6.2f | %8.3f\n", n,
-                na_eps, exact_eps / na_eps, exact_opt,
-                exact_flag ? "yes" : "no", sa_eps / na_eps, sa_opt);
+                na.eps, exact.eps / na.eps, exact.opt_s,
+                exact.exact ? "yes" : "no", sa.eps / na.eps, sa.opt_s);
     std::fflush(stdout);
   }
   std::printf(
@@ -110,9 +100,8 @@ int Run(const Flags& flags) {
 }  // namespace motto::bench
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner(
+  return motto::bench::Run(motto::bench::ParseFlags(
+      argc, argv, motto::bench::kFlags,
       "Fig 14a — varying the number of queries",
-      "Throughput improvement and optimization overhead, exact vs SA.");
-  return motto::bench::Run(flags);
+      "Throughput improvement and optimization overhead, exact vs SA."));
 }

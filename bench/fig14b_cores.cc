@@ -7,9 +7,8 @@
 // k-worker makespan under LPT partitioning (DESIGN.md §4), and (b) can also
 // run the real multi-threaded executor for wall-clock numbers
 // (--wallclock=1), which are meaningful on multi-core hosts.
-//
-// Flags: --events=N, --queries=N, --seed=S, --max_cores=N, --wallclock=0/1.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -20,18 +19,23 @@
 namespace motto::bench {
 namespace {
 
-int Run(const Flags& flags) {
-  int64_t num_events = flags.GetInt("events", 40000);
-  int num_queries = static_cast<int>(flags.GetInt("queries", 100));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  int max_cores = static_cast<int>(flags.GetInt("max_cores", 6));
-  bool wallclock = flags.GetBool("wallclock", false);
+const std::vector<FlagSpec> kFlags = {
+    {"events", kInt, "40000", kPositive, "stream length"},
+    {"queries", kInt, "100", kPositive, "queries in the workload"},
+    {"seed", kInt, "1", kNone, "stream and workload seed"},
+    {"max_cores", kInt, "6", kPositive, "largest worker count"},
+    {"wallclock", kSwitch, "", kNone,
+     "also time the pipelined executor at each worker count"},
+};
+
+int Run(const FlagSet& flags) {
+  int num_queries = static_cast<int>(flags.Int("queries"));
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
+  int max_cores = static_cast<int>(flags.Int("max_cores"));
+  bool wallclock = flags.Switch("wallclock");
 
   EventTypeRegistry registry;
-  StreamOptions stream_options;
-  stream_options.num_events = num_events;
-  stream_options.seed = seed;
-  EventStream stream = GenerateStream(stream_options, &registry);
+  EventStream stream = BenchStream(flags, &registry);
   StreamStats stats = ComputeStats(stream);
 
   WorkloadOptions workload_options;
@@ -76,8 +80,8 @@ int Run(const Flags& flags) {
 }  // namespace motto::bench
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner("Fig 14b — varying the number of CPU cores",
-                            "Scaling of the MOTTO plan across workers.");
-  return motto::bench::Run(flags);
+  return motto::bench::Run(motto::bench::ParseFlags(
+      argc, argv, motto::bench::kFlags,
+      "Fig 14b — varying the number of CPU cores",
+      "Scaling of the MOTTO plan across workers."));
 }

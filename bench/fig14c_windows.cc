@@ -2,9 +2,8 @@
 // window ratio s_w : b_w varies from 4:1 to 1:4 (paper §VII-C).
 //
 // Workload: type-5 pairs (prefix sharing across window constraints).
-//
-// Flags: --events=N, --queries=N, --seed=S.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -15,16 +14,19 @@
 namespace motto::bench {
 namespace {
 
-int Run(const Flags& flags) {
-  int64_t num_events = flags.GetInt("events", 50000);
-  int num_queries = static_cast<int>(flags.GetInt("queries", 60));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+const std::vector<FlagSpec> kFlags = {
+    {"events", kInt, "50000", kPositive, "stream length"},
+    {"queries", kInt, "60", kPositive, "queries per workload"},
+    {"seed", kInt, "1", kNone, "stream and workload seed"},
+    {"runs", kInt, "3", kPositive, "measured replays per mode"},
+};
+
+int Run(const FlagSet& flags) {
+  int num_queries = static_cast<int>(flags.Int("queries"));
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
 
   EventTypeRegistry registry;
-  StreamOptions stream_options;
-  stream_options.num_events = num_events;
-  stream_options.seed = seed;
-  EventStream stream = GenerateStream(stream_options, &registry);
+  EventStream stream = BenchStream(flags, &registry);
 
   struct Ratio {
     const char* label;
@@ -48,7 +50,7 @@ int Run(const Flags& flags) {
     ComparisonOptions options;
     options.modes = {OptimizerMode::kNa, OptimizerMode::kMotto};
     options.warmup = true;
-    options.measure_runs = static_cast<int>(flags.GetInt("runs", 3));
+    options.measure_runs = static_cast<int>(flags.Int("runs"));
     auto runs = CompareModes(workload->queries, stream, &registry, options);
     MOTTO_CHECK(runs.ok()) << runs.status();
     std::printf("  %s  | %9.0f | %9.2f | %llu\n", ratio.label,
@@ -68,8 +70,8 @@ int Run(const Flags& flags) {
 }  // namespace motto::bench
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner("Fig 14c — varying the window constraints",
-                            "Sharing across source/beneficiary window ratios.");
-  return motto::bench::Run(flags);
+  return motto::bench::Run(motto::bench::ParseFlags(
+      argc, argv, motto::bench::kFlags,
+      "Fig 14c — varying the window constraints",
+      "Sharing across source/beneficiary window ratios."));
 }

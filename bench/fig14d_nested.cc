@@ -1,8 +1,7 @@
 // Reproduces Fig 14d: sharing benefits for nested pattern queries as the
 // nested level grows from 2 to 8 (common sub-query in the innermost layer).
-//
-// Flags: --events=N, --queries=N, --seed=S.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -13,16 +12,19 @@
 namespace motto::bench {
 namespace {
 
-int Run(const Flags& flags) {
-  int64_t num_events = flags.GetInt("events", 50000);
-  int num_queries = static_cast<int>(flags.GetInt("queries", 40));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+const std::vector<FlagSpec> kFlags = {
+    {"events", kInt, "50000", kPositive, "stream length"},
+    {"queries", kInt, "40", kPositive, "queries per workload"},
+    {"seed", kInt, "1", kNone, "stream and workload seed"},
+    {"runs", kInt, "3", kPositive, "measured replays per mode"},
+};
+
+int Run(const FlagSet& flags) {
+  int num_queries = static_cast<int>(flags.Int("queries"));
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
 
   EventTypeRegistry registry;
-  StreamOptions stream_options;
-  stream_options.num_events = num_events;
-  stream_options.seed = seed;
-  EventStream stream = GenerateStream(stream_options, &registry);
+  EventStream stream = BenchStream(flags, &registry);
 
   std::printf(" level | NA eps    | MOTTO xNA | flat sub-queries | matches\n");
   std::printf("-------+-----------+-----------+------------------+--------\n");
@@ -38,7 +40,7 @@ int Run(const Flags& flags) {
     ComparisonOptions options;
     options.modes = {OptimizerMode::kNa, OptimizerMode::kMotto};
     options.warmup = true;
-    options.measure_runs = static_cast<int>(flags.GetInt("runs", 3));
+    options.measure_runs = static_cast<int>(flags.Int("runs"));
     auto runs = CompareModes(workload->queries, stream, &registry, options);
     MOTTO_CHECK(runs.ok()) << runs.status();
     std::printf("   %d   | %9.0f | %9.2f | %16zu | %llu\n", level,
@@ -58,8 +60,8 @@ int Run(const Flags& flags) {
 }  // namespace motto::bench
 
 int main(int argc, char** argv) {
-  motto::bench::Flags flags(argc, argv);
-  motto::bench::PrintBanner("Fig 14d — varying the nested level",
-                            "Sharing among nested pattern queries.");
-  return motto::bench::Run(flags);
+  return motto::bench::Run(motto::bench::ParseFlags(
+      argc, argv, motto::bench::kFlags,
+      "Fig 14d — varying the nested level",
+      "Sharing among nested pattern queries."));
 }

@@ -2,6 +2,8 @@
 #define MOTTO_BENCH_OVERALL_COMPARISON_H_
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
@@ -11,16 +13,30 @@
 
 namespace motto::bench {
 
+/// Flags of the Fig 13a/13b benches.
+inline std::vector<FlagSpec> OverallComparisonFlags(Scenario scenario) {
+  const bool stock = scenario == Scenario::kStockMarket;
+  return {
+      {"events", kInt, stock ? "60000" : "80000", kPositive, "stream length"},
+      {"full", kSwitch, "", kNone,
+       stock ? "paper-scale stream of 2M events"
+             : "paper-scale stream of 4M events"},
+      {"queries", kInt, "100", kPositive, "queries per workload"},
+      {"seed", kInt, "1", kNone, "stream and workload seed"},
+      {"runs", kInt, "3", kPositive, "measured replays per mode"},
+      {"exact_budget", kDouble, "3", kZero, "B&B budget in seconds"},
+  };
+}
+
 /// Shared driver for Fig 13a/13b: normalized throughput of NA/MST/LCSE/MOTTO
 /// while the basic workload ratio r sweeps 0%..100% (paper §VII-B).
-inline int RunOverallComparison(Scenario scenario, const Flags& flags) {
-  int64_t num_events =
-      flags.GetInt("events", scenario == Scenario::kStockMarket ? 60000 : 80000);
-  if (flags.GetBool("full", false)) {
+inline int RunOverallComparison(Scenario scenario, const FlagSet& flags) {
+  int64_t num_events = flags.Int("events");
+  if (flags.Switch("full")) {
     num_events = scenario == Scenario::kStockMarket ? 2'000'000 : 4'000'000;
   }
-  int num_queries = static_cast<int>(flags.GetInt("queries", 100));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  int num_queries = static_cast<int>(flags.Int("queries"));
+  uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
 
   EventTypeRegistry registry;
   StreamOptions stream_options;
@@ -46,9 +62,8 @@ inline int RunOverallComparison(Scenario scenario, const Flags& flags) {
 
     ComparisonOptions options;
     options.warmup = true;
-    options.measure_runs = static_cast<int>(flags.GetInt("runs", 3));
-    options.planner.exact_budget_seconds =
-        flags.GetDouble("exact_budget", 3.0);
+    options.measure_runs = static_cast<int>(flags.Int("runs"));
+    options.planner.exact_budget_seconds = flags.Double("exact_budget");
     auto runs = CompareModes(workload->queries, stream, &registry, options);
     MOTTO_CHECK(runs.ok()) << runs.status();
     const ModeRun& na = (*runs)[0];

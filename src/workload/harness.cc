@@ -5,53 +5,12 @@
 #include <map>
 #include <set>
 #include <string>
-#include <variant>
-
-#include "engine/parallel_executor.h"
-#include "engine/sharded_executor.h"
 
 namespace motto {
 
 namespace {
 
 using MatchSet = std::multiset<std::string>;
-
-/// Whichever executor ComparisonOptions selected, behind one Run/jqp
-/// surface so the measurement loop stays engine-agnostic.
-struct AnyExecutor {
-  std::variant<Executor, ParallelExecutor, ShardedExecutor> impl;
-
-  Result<RunResult> Run(const EventStream& stream,
-                        const ExecutorOptions& options = ExecutorOptions{}) {
-    return std::visit(
-        [&](auto& executor) { return executor.Run(stream, options); }, impl);
-  }
-
-  const Jqp& jqp() const {
-    return std::visit([](const auto& executor) -> const Jqp& {
-      return executor.jqp();
-    }, impl);
-  }
-};
-
-Result<AnyExecutor> MakeExecutor(Jqp jqp, const ComparisonOptions& options) {
-  if (options.shards > 1) {
-    MOTTO_ASSIGN_OR_RETURN(
-        ShardedExecutor sharded,
-        ShardedExecutor::Create(std::move(jqp), options.shards,
-                                options.threads));
-    return AnyExecutor{std::move(sharded)};
-  }
-  if (options.threads > 1) {
-    MOTTO_ASSIGN_OR_RETURN(
-        ParallelExecutor parallel,
-        ParallelExecutor::Create(std::move(jqp), options.threads,
-                                 options.batch_size, options.pipe_depth));
-    return AnyExecutor{std::move(parallel)};
-  }
-  MOTTO_ASSIGN_OR_RETURN(Executor executor, Executor::Create(std::move(jqp)));
-  return AnyExecutor{std::move(executor)};
-}
 
 std::map<std::string, MatchSet> SinkFingerprints(const RunResult& run) {
   std::map<std::string, MatchSet> out;
@@ -63,6 +22,22 @@ std::map<std::string, MatchSet> SinkFingerprints(const RunResult& run) {
 }
 
 }  // namespace
+
+Result<AnyExecutor> MakeExecutor(Jqp jqp, int shards, int threads) {
+  if (shards > 1) {
+    MOTTO_ASSIGN_OR_RETURN(
+        ShardedExecutor sharded,
+        ShardedExecutor::Create(std::move(jqp), shards, threads));
+    return AnyExecutor{std::move(sharded)};
+  }
+  if (threads > 1) {
+    MOTTO_ASSIGN_OR_RETURN(ParallelExecutor parallel,
+                           ParallelExecutor::Create(std::move(jqp), threads));
+    return AnyExecutor{std::move(parallel)};
+  }
+  MOTTO_ASSIGN_OR_RETURN(Executor executor, Executor::Create(std::move(jqp)));
+  return AnyExecutor{std::move(executor)};
+}
 
 Result<std::vector<ModeRun>> CompareModes(const std::vector<Query>& queries,
                                           const EventStream& stream,
@@ -86,8 +61,9 @@ Result<std::vector<ModeRun>> CompareModes(const std::vector<Query>& queries,
     Optimizer optimizer(registry, stats, optimizer_options);
     MOTTO_ASSIGN_OR_RETURN(OptimizeOutcome outcome,
                            optimizer.Optimize(queries));
-    MOTTO_ASSIGN_OR_RETURN(AnyExecutor executor,
-                           MakeExecutor(std::move(outcome.jqp), options));
+    MOTTO_ASSIGN_OR_RETURN(
+        AnyExecutor executor,
+        MakeExecutor(std::move(outcome.jqp), options.shards, options.threads));
     ModeRun mode_run;
     mode_run.mode = mode;
     mode_run.optimize_seconds = outcome.rewrite_seconds + outcome.plan_seconds;

@@ -1,14 +1,41 @@
 #ifndef MOTTO_WORKLOAD_HARNESS_H_
 #define MOTTO_WORKLOAD_HARNESS_H_
 
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
 #include "engine/executor.h"
+#include "engine/parallel_executor.h"
+#include "engine/sharded_executor.h"
 #include "motto/optimizer.h"
 #include "obs/report.h"
 
 namespace motto {
+
+/// Whichever executor MakeExecutor selected, behind one Run/jqp surface so
+/// callers stay engine-agnostic.
+struct AnyExecutor {
+  std::variant<Executor, ParallelExecutor, ShardedExecutor> impl;
+
+  Result<RunResult> Run(const EventStream& stream,
+                        const ExecutorOptions& options = ExecutorOptions{}) {
+    return std::visit(
+        [&](auto& executor) { return executor.Run(stream, options); }, impl);
+  }
+
+  const Jqp& jqp() const {
+    return std::visit([](const auto& executor) -> const Jqp& {
+      return executor.jqp();
+    }, impl);
+  }
+};
+
+/// Picks the executor for `jqp`: shards > 1 selects the sharded
+/// data-parallel executor over `threads` workers (DESIGN.md §12); otherwise
+/// threads > 1 selects the pipelined executor with its default batch size
+/// and pipe depth; otherwise the single-threaded Executor.
+Result<AnyExecutor> MakeExecutor(Jqp jqp, int shards, int threads);
 
 /// Measurement of one optimizer mode over one workload + stream.
 struct ModeRun {
@@ -47,14 +74,9 @@ struct ComparisonOptions {
   /// ModeRun. Costs one extra timed replay per mode, so keep it off on
   /// pure-throughput comparisons.
   bool collect_reports = false;
-  /// Execution engine for the measured replays: shards > 1 selects the
-  /// sharded data-parallel executor (DESIGN.md §12); otherwise threads > 1
-  /// selects the pipelined executor with batch_size/pipe_depth; the default
-  /// is the single-threaded Executor.
+  /// Execution engine for the measured replays (see MakeExecutor).
   int shards = 1;
   int threads = 1;
-  size_t batch_size = 512;
-  size_t pipe_depth = 4;
   /// Operand evaluation mode for every measured replay (and the optional
   /// verification replays): kSelectivity runs each pattern node in its
   /// planner-chosen rarest-first order (DESIGN.md §13).

@@ -5,26 +5,21 @@
 // scales the count for nightly runs. Failures dump the offending text.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "ccl/parser.h"
 #include "ccl/pattern.h"
+#include "test_util.h"
 #include "verify/fuzzer.h"
 #include "workload/io.h"
 
 namespace motto {
 namespace {
 
-int IterationsFromEnv(int fallback) {
-  const char* env = std::getenv("MOTTO_FUZZ_ITERS");
-  if (env == nullptr || *env == '\0') return fallback;
-  int parsed = std::atoi(env);
-  return parsed > 0 ? parsed : fallback;
-}
+using testing::IterationsFromEnv;
 
 TEST(CclRoundtripTest, PatternPrintParse) {
-  int iters = IterationsFromEnv(10000);
+  int iters = IterationsFromEnv("MOTTO_FUZZ_ITERS", 10000);
   EventTypeRegistry registry;
   verify::FuzzOptions options;
   options.num_event_types = 5;
@@ -49,7 +44,8 @@ TEST(CclRoundtripTest, PatternPrintParse) {
 }
 
 TEST(CclRoundtripTest, WorkloadFilePrintParse) {
-  int iters = IterationsFromEnv(10000) / 10;  // 3 queries per workload
+  // 3 queries per workload.
+  int iters = IterationsFromEnv("MOTTO_FUZZ_ITERS", 10000) / 10;
   EventTypeRegistry registry;
   verify::FuzzOptions options;
   options.num_queries = 3;
@@ -81,7 +77,7 @@ TEST(CclRoundtripTest, WorkloadFilePrintParse) {
 /// repro dumps print canonicalized queries, so canonical forms that do not
 /// survive printing would break every dumped case.
 TEST(CclRoundtripTest, CanonicalFormsRoundTrip) {
-  int iters = IterationsFromEnv(10000) / 5;
+  int iters = IterationsFromEnv("MOTTO_FUZZ_ITERS", 10000) / 5;
   EventTypeRegistry registry;
   verify::FuzzOptions options;
   options.max_depth = 2;

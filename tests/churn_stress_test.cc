@@ -9,19 +9,13 @@
 // nightly sanitizer sweep raises it via tools/check_build.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "test_util.h"
 #include "verify/churn_differ.h"
 
 namespace motto {
 namespace {
 
-int IterationsFromEnv(int fallback) {
-  const char* env = std::getenv("MOTTO_FUZZ_ITERS");
-  if (env == nullptr || *env == '\0') return fallback;
-  int parsed = std::atoi(env);
-  return parsed > 0 ? parsed : fallback;
-}
+using testing::IterationsFromEnv;
 
 void ExpectClean(verify::ChurnDifferOptions options) {
   auto outcome = verify::RunChurnDiffer(options);
@@ -37,7 +31,7 @@ void ExpectClean(verify::ChurnDifferOptions options) {
 TEST(ChurnStressTest, DefaultShapes) {
   verify::ChurnDifferOptions options;
   options.seed = 1;
-  options.iterations = IterationsFromEnv(12);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 12);
   ExpectClean(options);
 }
 
@@ -46,7 +40,7 @@ TEST(ChurnStressTest, ChurnHeavy) {
   // mid-stream, so nearly every epoch boundary migrates live state.
   verify::ChurnDifferOptions options;
   options.seed = 70000;
-  options.iterations = IterationsFromEnv(10);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 10);
   options.fuzz.num_queries = 2;
   options.added_queries = 3;
   options.removals = 3;
@@ -59,7 +53,7 @@ TEST(ChurnStressTest, NegationAndCollisions) {
   // timestamps — the add/remove visibility edge.
   verify::ChurnDifferOptions options;
   options.seed = 910000;
-  options.iterations = IterationsFromEnv(10);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 10);
   options.fuzz.negation_prob = 0.8;
   options.fuzz.ts_collision_prob = 0.5;
   options.fuzz.num_events = 30;
@@ -71,7 +65,7 @@ TEST(ChurnStressTest, RemoveOnly) {
   // and migration is pure state carry-over for the survivors.
   verify::ChurnDifferOptions options;
   options.seed = 3300000;
-  options.iterations = IterationsFromEnv(8);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 8);
   options.fuzz.num_queries = 4;
   options.added_queries = 0;
   options.removals = 2;

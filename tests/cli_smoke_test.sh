@@ -2,9 +2,9 @@
 # End-to-end smoke of the motto CLI: generates a stream and workload, then
 # exercises explain/run/compare including the observability flags
 # (--stats[=json], --trace, --metrics-out) and the online-churn path
-# (--churn), validating exit codes — malformed or bare flag values must be
-# usage errors naming the flag — and that the emitted trace/metrics/report
-# JSON is well-formed.
+# (--churn), validating exit codes — malformed or bare flag values and
+# undeclared flags must be usage errors naming the flag — and that the
+# emitted trace/metrics/report JSON is well-formed.
 set -u
 
 MOTTO="${1:?usage: cli_smoke_test.sh <path-to-motto-binary>}"
@@ -155,16 +155,8 @@ EOF
 # Executor sizing knobs reject non-positive values with the error exit code.
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --shards=0 >/dev/null 2>&1
 [ $? -eq 1 ] || fail "--shards=0 should exit 1"
-"${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=2 --batch-size=0 \
-  >/dev/null 2>&1
-[ $? -eq 1 ] || fail "--batch-size=0 should exit 1"
-"${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=2 --pipe-depth=0 \
-  >/dev/null 2>&1
-[ $? -eq 1 ] || fail "--pipe-depth=0 should exit 1"
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=-1 >/dev/null 2>&1
 [ $? -eq 1 ] || fail "--threads=-1 should exit 1"
-"${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=2 --batch-size=64 \
-  --pipe-depth=2 >/dev/null || fail "run with explicit batch/pipe sizing"
 
 # Sharded run: banner line, per-shard metrics, per-shard trace rows.
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --shards=4 \
@@ -219,16 +211,14 @@ diff -q lazy_matches.out single_matches.out >/dev/null \
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --calibration=DST=zero \
   >/dev/null 2>&1
 [ $? -eq 1 ] || fail "--calibration=DST=zero should exit 1"
+"${MOTTO}" run --workload=w.ccl --stream=s.csv --calibration=DST=1e400 \
+  >/dev/null 2>&1
+[ $? -eq 1 ] || fail "--calibration=DST=1e400 (infinite) should exit 1"
 "${MOTTO}" explain --workload=w.ccl --stream=s.csv \
   --calibration=unshared=1.2 >/dev/null || fail "explain --calibration"
 
 # Malformed numeric flag values and bare value-flags are usage errors whose
 # message names the offending flag (they used to be silently misparsed).
-"${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=2 --batch-size=abc \
-  >/dev/null 2>err.txt
-[ $? -eq 1 ] || fail "--batch-size=abc should exit 1"
-grep -q -- "bad --batch-size='abc'" err.txt \
-  || fail "--batch-size error should name the flag"
 "${MOTTO}" gen-stream --events=10 --seed=12x --out=bad.csv >/dev/null 2>err.txt
 [ $? -eq 1 ] || fail "--seed=12x should exit 1"
 grep -q -- "bad --seed='12x'" err.txt || fail "--seed error should name the flag"
@@ -241,6 +231,42 @@ grep -q "unknown scenario 'bogus'" err.txt \
 [ $? -eq 1 ] || fail "bare --shards should exit 1"
 grep -q -- "--shards needs a value" err.txt \
   || fail "bare value-flag error should name the flag"
+"${MOTTO}" run --workload=w.ccl --stream=s.csv --mode >/dev/null 2>err.txt
+[ $? -eq 1 ] || fail "bare --mode should exit 1"
+grep -q -- "--mode needs a value" err.txt || fail "bare --mode should be named"
+
+# Every command declares its flags in one table: an undeclared flag (here a
+# typo) exits 1, naming the flag and the nearest declared one.
+unknown_flag() {  # <flag> <nearest> <command and flags...>
+  local flag="$1" nearest="$2"
+  shift 2
+  "${MOTTO}" "$@" "${flag}" </dev/null >/dev/null 2>err.txt
+  [ $? -eq 1 ] || fail "$* ${flag} should exit 1"
+  grep -q -- "unknown flag ${flag%%=*} (did you mean ${nearest}?)" err.txt \
+    || fail "$* ${flag} should name the flag and ${nearest}"
+}
+unknown_flag --shard=4 --shards run --workload=w.ccl --stream=s.csv
+unknown_flag --solvr=sa --solver explain --workload=w.ccl --stream=s.csv
+unknown_flag --run=1 --runs compare --workload=w.ccl --stream=s.csv
+unknown_flag --evnts=9 --events gen-stream --out=bad.csv
+unknown_flag --querys=3 --queries gen-workload --out=bad.ccl
+unknown_flag --iter=2 --iters verify
+unknown_flag --chekpoint-dir=x --checkpoint-dir serve --workload=w.ccl
+unknown_flag --prot=1 --port top
+unknown_flag --skp=1 --skip wire-encode --stream=s.csv --out=bad.bin
+unknown_flag --work-dri=x --work-dir verify --recovery
+
+# --help prints the command's table and exits 0.
+"${MOTTO}" run --help > help.out || fail "run --help should exit 0"
+grep -q -- "--shards=N" help.out || fail "run --help should list --shards"
+
+# Depth knobs read from the environment are checked like the flag they
+# default.
+MOTTO_RECOVERY_FUZZ_ITERS=abc "${MOTTO}" verify --recovery --seed=1 \
+  >/dev/null 2>err.txt
+[ $? -eq 1 ] || fail "MOTTO_RECOVERY_FUZZ_ITERS=abc should exit 1"
+grep -q "bad MOTTO_RECOVERY_FUZZ_ITERS='abc'" err.txt \
+  || fail "bad MOTTO_RECOVERY_FUZZ_ITERS should be named"
 
 # Online churn (DESIGN.md §14): a script of timed add/remove commands
 # replayed with incremental re-plans and live state migration.
@@ -285,14 +311,14 @@ EOF
 grep -q "x NA" compare.out || fail "compare table missing"
 grep -q -- "-- MOTTO report --" compare.out || fail "mode report missing"
 
-# compare accepts the engine-selection knobs (sharded + pipelined sizing)
-# and the lazy eval mode.
+# compare accepts the engine-selection knobs (sharded + pipelined) and the
+# lazy eval mode.
 "${MOTTO}" compare --workload=w.ccl --stream=s.csv --runs=1 \
   --eval-order=selectivity >/dev/null || fail "compare --eval-order"
 "${MOTTO}" compare --workload=w.ccl --stream=s.csv --runs=1 --shards=2 \
   >/dev/null || fail "compare --shards=2"
 "${MOTTO}" compare --workload=w.ccl --stream=s.csv --runs=1 --threads=2 \
-  --batch-size=128 --pipe-depth=2 >/dev/null || fail "compare pipelined"
+  >/dev/null || fail "compare pipelined"
 "${MOTTO}" compare --workload=w.ccl --stream=s.csv --shards=0 >/dev/null 2>&1
 [ $? -eq 1 ] || fail "compare --shards=0 should exit 1"
 

@@ -8,22 +8,17 @@
 // nightly sanitizer sweep raises it via tools/check_build.sh).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "test_util.h"
 #include "verify/differ.h"
 #include "workload/io.h"
 
 namespace motto {
 namespace {
 
-int IterationsFromEnv(int fallback) {
-  const char* env = std::getenv("MOTTO_FUZZ_ITERS");
-  if (env == nullptr || *env == '\0') return fallback;
-  int parsed = std::atoi(env);
-  return parsed > 0 ? parsed : fallback;
-}
+using testing::IterationsFromEnv;
 
 void ExpectClean(verify::DifferOptions options) {
   auto outcome = verify::RunDiffer(options);
@@ -42,14 +37,14 @@ void ExpectClean(verify::DifferOptions options) {
 TEST(DifferentialTest, DefaultShapes) {
   verify::DifferOptions options;
   options.seed = 1;
-  options.iterations = IterationsFromEnv(40);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 40);
   ExpectClean(options);
 }
 
 TEST(DifferentialTest, DeepNesting) {
   verify::DifferOptions options;
   options.seed = 500000;
-  options.iterations = IterationsFromEnv(40);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 40);
   options.fuzz.max_depth = 3;
   options.fuzz.nested_prob = 0.7;
   options.fuzz.num_events = 24;
@@ -61,7 +56,7 @@ TEST(DifferentialTest, TinyAlphabetManyCollisions) {
   // sharing rewrites fire constantly, SEQ's strict order guard is stressed.
   verify::DifferOptions options;
   options.seed = 900000;
-  options.iterations = IterationsFromEnv(40);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 40);
   options.fuzz.num_event_types = 2;
   options.fuzz.ts_collision_prob = 0.45;
   options.fuzz.negation_prob = 0.5;
@@ -73,7 +68,7 @@ TEST(DifferentialTest, SingleQueryWideWindows) {
   // with windows usually larger than the whole stream.
   verify::DifferOptions options;
   options.seed = 1300000;
-  options.iterations = IterationsFromEnv(40);
+  options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 40);
   options.fuzz.num_queries = 1;
   options.fuzz.num_events = 28;
   options.fuzz.max_gap = 3;

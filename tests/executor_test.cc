@@ -298,10 +298,14 @@ TEST_F(ExecutorTest, AgainstReferenceOnRandomStreams) {
 // Parallel executor: identical match sets to the single-threaded executor.
 // ---------------------------------------------------------------------------
 
+// CTest names each case after the bytes of its parameter, so the struct has
+// no padding: every byte is a field, and a case keeps its name across builds.
 struct ParallelCase {
   int threads;
+  int reruns;  // Further Run() calls on the same executor after the first.
   size_t batch;
 };
+static_assert(sizeof(ParallelCase) == 2 * sizeof(int) + sizeof(size_t));
 
 class ParallelExecutorTest : public ::testing::TestWithParam<ParallelCase> {};
 
@@ -363,24 +367,26 @@ TEST_P(ParallelExecutorTest, MatchesSingleThreadedOutput) {
   const ParallelCase& param = GetParam();
   auto parallel = ParallelExecutor::Create(jqp, param.threads, param.batch);
   ASSERT_TRUE(parallel.ok()) << parallel.status();
-  auto actual = parallel->Run(stream);
-  ASSERT_TRUE(actual.ok());
-
-  for (const auto& [name, events] : expected->sink_events) {
-    EXPECT_EQ(Fingerprints(events),
-              Fingerprints(actual->sink_events.at(name)))
-        << "sink " << name << " threads=" << param.threads
-        << " batch=" << param.batch;
+  // Every run on the parked pool must start from clean matcher state.
+  for (int run = 0; run <= param.reruns; ++run) {
+    auto actual = parallel->Run(stream);
+    ASSERT_TRUE(actual.ok());
+    for (const auto& [name, events] : expected->sink_events) {
+      EXPECT_EQ(Fingerprints(events),
+                Fingerprints(actual->sink_events.at(name)))
+          << "sink " << name << " threads=" << param.threads
+          << " batch=" << param.batch << " run=" << run;
+    }
   }
   EXPECT_GT(expected->TotalMatches(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadAndBatchSweep, ParallelExecutorTest,
-    ::testing::Values(ParallelCase{1, 1}, ParallelCase{1, 64},
-                      ParallelCase{2, 16}, ParallelCase{2, 512},
-                      ParallelCase{4, 128}, ParallelCase{4, 4096},
-                      ParallelCase{8, 256}));
+    ::testing::Values(ParallelCase{1, 0, 1}, ParallelCase{1, 0, 64},
+                      ParallelCase{2, 3, 16}, ParallelCase{2, 0, 512},
+                      ParallelCase{4, 0, 128}, ParallelCase{4, 0, 4096},
+                      ParallelCase{8, 0, 256}));
 
 // Regression: the old batch loop's `while (pos < size || stream.empty())`
 // condition only terminated for empty streams by accident; the pipelined

@@ -7,7 +7,6 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -22,19 +21,13 @@ namespace motto {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::IterationsFromEnv;
 using testing::MakeStream;
 using verify::CheckRecoveryCase;
 using verify::RecoveryCaseSpec;
 using verify::RecoveryDifferOptions;
 using verify::RecoveryKill;
 using verify::RunRecoveryDiffer;
-
-int FuzzIters(int fallback) {
-  const char* env = std::getenv("MOTTO_RECOVERY_FUZZ_ITERS");
-  if (env == nullptr || *env == '\0') return fallback;
-  int parsed = std::atoi(env);
-  return parsed > 0 ? parsed : fallback;
-}
 
 constexpr char kWorkload[] =
     "q0: SELECT * FROM s MATCHING [30 us : SEQ(A, B, C)]\n"
@@ -130,7 +123,7 @@ TEST_F(ServeRecoveryTest, DoubleKillWithMixedDamage) {
 TEST(ServeRecoveryFuzzTest, FuzzedKillPlansNeverDiverge) {
   RecoveryDifferOptions options;
   options.seed = 1;
-  options.iterations = FuzzIters(12);
+  options.iterations = IterationsFromEnv("MOTTO_RECOVERY_FUZZ_ITERS", 12);
   options.fuzz.num_events = 120;
   auto outcome = RunRecoveryDiffer(options);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
@@ -146,7 +139,7 @@ TEST(ServeRecoveryFuzzTest, FuzzedKillPlansNeverDiverge) {
 TEST(ServeRecoveryFuzzTest, SecondSeedBand) {
   RecoveryDifferOptions options;
   options.seed = 1000;
-  options.iterations = FuzzIters(8);
+  options.iterations = IterationsFromEnv("MOTTO_RECOVERY_FUZZ_ITERS", 8);
   options.fuzz.num_events = 100;
   options.fuzz.num_event_types = 4;
   auto outcome = RunRecoveryDiffer(options);

@@ -1,6 +1,8 @@
 #ifndef MOTTO_TESTS_TEST_UTIL_H_
 #define MOTTO_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -10,10 +12,25 @@
 #include <vector>
 
 #include "ccl/pattern.h"
+#include "common/flags.h"
 #include "event/event.h"
 #include "event/stream.h"
 
 namespace motto::testing {
+
+/// Reads a fuzz-depth knob such as MOTTO_FUZZ_ITERS: a positive integer, or
+/// `fallback` when the variable is unset or empty. Any other value fails
+/// the calling test rather than quietly running the default depth.
+inline int IterationsFromEnv(const char* variable, int fallback) {
+  FlagSet flags("", {{"iters", FlagKind::kInt, std::to_string(fallback),
+                      FlagMin::kPositive, "", variable}});
+  Status status = flags.Parse({});
+  if (!status.ok()) {
+    ADD_FAILURE() << status;
+    return fallback;
+  }
+  return static_cast<int>(flags.Int("iters"));
+}
 
 /// Builds a sorted primitive stream from (type name, timestamp) pairs,
 /// registering names as primitive types.

@@ -16,7 +16,8 @@
 #   MOTTO_FUZZ_ITERS=2000 tools/check_build.sh
 # turns the default quick pass into a nightly-depth sweep in all three
 # configurations. Unset, the suites use their built-in defaults
-# (40 differential cases per seed, 10k round-trip queries).
+# (40 differential cases per seed, 10k round-trip queries); a value that
+# is not a positive integer fails the suites instead of being ignored.
 #
 # Other useful ctest labels (all part of the full suite this script runs):
 #   ctest -L explain   optimizer-observability suite alone (plan inspector,
@@ -61,6 +62,13 @@ fi
 # names before anything builds (the same lint runs in ctest as
 # check_metrics, but failing here is faster).
 python3 tools/check_metrics.py
+# Every `motto <command> --flag` in the docs and test scripts must be in the
+# command's flag table (also ctest check_cli_docs). It reads
+# `motto <command> --help`, so the CLI is built first; the Release
+# configuration below reuses that build.
+cmake -B build -S . >/dev/null
+cmake --build build -j "${JOBS}" --target motto_cli
+python3 tools/check_cli_docs.py build/tools/motto
 
 # ObsEngineTest covers the instrumented executors (metrics shards + trace
 # sink under the worker pool), so it belongs in the threaded tsan slice.

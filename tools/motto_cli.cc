@@ -1,59 +1,19 @@
 // motto — command-line front end for the MOTTO CEP multi-query optimizer.
 //
-//   motto gen-stream  --scenario=stock|dc --events=N --seed=S --out=FILE.csv
-//   motto gen-workload --scenario=stock|dc --queries=N --ratio=R --seed=S
-//                      --out=FILE.ccl
-//   motto explain     --workload=FILE.ccl [--stream=FILE.csv] [--mode=...]
-//                     [--solver=bnb|sa] [--shards=N]
-//                     [--calibration=FAMILY=MULT,...]
-//                     [--json[=FILE]] [--dot[=FILE]]
-//   motto run         --workload=FILE.ccl --stream=FILE.csv
-//                     [--mode=na|mst|lcse|motto] [--shards=N] [--threads=N]
-//                     [--batch-size=B] [--pipe-depth=D]
-//                     [--eval-order=arrival|selectivity]
-//                     [--calibration=FAMILY=MULT,...]
-//                     [--stats[=json]] [--calibrate[=json]]
-//                     [--trace=FILE.json] [--metrics-out=FILE.json]
-//                     [--churn=FILE.script]   (live add/remove + plan swap;
-//                      script lines: "<ts_us> add <name>: <CCL query>" or
-//                      "<ts_us> remove <name>")
-//   motto compare     --workload=FILE.ccl --stream=FILE.csv [--runs=N]
-//                     [--shards=N] [--threads=N] [--batch-size=B]
-//                     [--pipe-depth=D] [--reports]
-//                     [--eval-order=arrival|selectivity]
-//                     [--calibration=FAMILY=MULT,...]
-//   motto verify      --seed=S --iters=N [--queries=Q] [--events=E]
-//                     [--threads=T] [--shards=N] [--dump=DIR]  (fuzz mode)
-//   motto verify      --workload=FILE.ccl --stream=FILE.csv  (repro mode)
-//   motto verify      --recovery --seed=S --iters=N [--queries=Q]
-//                     [--events=E] [--shards=N] [--threads=T]
-//                     [--work-dir=DIR]   (crash-recovery differential fuzz;
-//                      MOTTO_RECOVERY_FUZZ_ITERS overrides the default depth)
-//   motto serve       --workload=FILE.ccl [--stdin | --listen=PORT]
-//                     [--checkpoint-dir=DIR] [--checkpoint-interval=N]
-//                     [--out-dir=DIR] [--eval-order=arrival|selectivity]
-//                     [--ingest-queue=N] [--admission=block|shed]
-//                     [--stream=FILE.csv | --scenario=...]  (cost stats)
-//                     [--metrics-out=FILE.json]
-//                     [--status-port=P] [--stats-log=FILE.jsonl]
-//                     [--snapshot-interval=SECONDS] [--snapshot-every=N]
-//                      (telemetry: /metrics /statusz /healthz on the status
-//                       port; SIGTERM/SIGINT drain + checkpoint + exit 0)
-//   motto top         --port=P [--interval=SECONDS] [--iterations=N]
-//                     [--once] [--no-clear] | --from-log=FILE.jsonl
-//   motto wire-encode --stream=FILE.csv --out=FILE.bin [--skip=N]
-//                     [--limit=N] [--no-end] [--checkpoint-every=N]
+// Each command declares its flags once, in kCommands at the bottom of this
+// file (common/flags.h): the table parses them, refuses anything it does not
+// declare, and prints `motto <command> --help`. Exit codes: 0 success, 1 a
+// bad flag or a failed command, 2 a missing or unknown command.
 //
 // Queries: one CCL statement per line, optional "name:" prefix, '#' comments:
 //   lost: SELECT * FROM dc MATCHING [30 sec : SEQ(a, b, NEG(c))]
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -62,13 +22,10 @@
 #include <thread>
 #include <utility>
 
-#include "common/check.h"
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/parse.h"
-#include "engine/executor.h"
-#include "engine/parallel_executor.h"
 #include "engine/partition.h"
-#include "engine/sharded_executor.h"
 #include "motto/churn.h"
 #include "motto/optimizer.h"
 #include "obs/explain.h"
@@ -76,7 +33,6 @@
 #include "obs/opt_trace.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "planner/solver.h"
 #include "serve/server.h"
 #include "serve/status.h"
 #include "serve/wire.h"
@@ -90,94 +46,34 @@
 namespace motto::cli {
 namespace {
 
-/// --key=value parser (same convention as the benches).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    std::string prefix = "--" + name + "=";
-    for (const std::string& arg : args_) {
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    }
-    return fallback;
-  }
-  /// True when the flag appears at all, bare (`--stats`) or with a value
-  /// (`--stats=json`).
-  bool Has(const std::string& name) const {
-    std::string bare = "--" + name;
-    std::string prefix = bare + "=";
-    for (const std::string& arg : args_) {
-      if (arg == bare || arg.rfind(prefix, 0) == 0) return true;
-    }
-    return false;
-  }
-  /// True when the flag appears with no "=value" part.
-  bool HasBare(const std::string& name) const {
-    std::string bare = "--" + name;
-    for (const std::string& arg : args_) {
-      if (arg == bare) return true;
-    }
-    return false;
-  }
-  /// Accessor for flags that require a value: a bare `--name` is a usage
-  /// error instead of a silent fallback.
-  Result<std::string> GetValue(const std::string& name,
-                               const std::string& fallback) const {
-    if (HasBare(name)) {
-      return InvalidArgumentError("--" + name + " needs a value (use --" +
-                                  name + "=...)");
-    }
-    return Get(name, fallback);
-  }
-  /// Checked numeric accessors: a malformed or bare value is an error naming
-  /// the flag, never a silently-wrong number (strtoll with a null endptr
-  /// turns "--seed=12x" into 12 and "--batch-size=abc" into 0).
-  Result<int64_t> GetInt(const std::string& name, int64_t fallback) const {
-    MOTTO_ASSIGN_OR_RETURN(std::string v, GetValue(name, ""));
-    if (v.empty()) return fallback;
-    Result<int64_t> parsed = ParseInt64(v);
-    if (!parsed.ok()) {
-      return InvalidArgumentError("bad --" + name + "='" + v +
-                                  "': " + parsed.status().message());
-    }
-    return *parsed;
-  }
-  Result<double> GetDouble(const std::string& name, double fallback) const {
-    MOTTO_ASSIGN_OR_RETURN(std::string v, GetValue(name, ""));
-    if (v.empty()) return fallback;
-    Result<double> parsed = ParseDouble(v);
-    if (!parsed.ok()) {
-      return InvalidArgumentError("bad --" + name + "='" + v +
-                                  "': " + parsed.status().message());
-    }
-    return *parsed;
-  }
+using enum FlagKind;
+using enum FlagMin;
 
- private:
-  std::vector<std::string> args_;
-};
+// Flags that several commands share.
+const FlagSpec kWorkload{"workload", kString, "workload.ccl", kNone,
+                         "CCL file"};
+const FlagSpec kStream{"stream", kString, "", kNone,
+                       "events CSV; default: 30000 --scenario events"};
+const FlagSpec kScenario{"scenario", kString, "stock", kNone, "stock|dc"};
+const FlagSpec kMode{"mode", kString, "motto", kNone, "na|mst|lcse|motto"};
+const FlagSpec kCalibration{"calibration", kString, "", kNone,
+                            "cost multipliers, e.g. DST=0.73,MST=1.03"};
+const FlagSpec kEvalOrder{"eval-order", kString, "arrival", kNone,
+                          "arrival|selectivity"};
+const FlagSpec kShards{"shards", kInt, "1", kPositive, "N > 1: sharded run"};
+const FlagSpec kThreads{"threads", kInt, "1", kPositive,
+                        "N > 1 without --shards: pipelined run"};
+const FlagSpec kMetricsOut{"metrics-out", kString, "", kNone,
+                           "write the metrics as JSON to FILE"};
 
 Result<Scenario> ScenarioFrom(const std::string& name) {
-  if (name == "stock" || name == "stock-market" || name.empty()) {
-    return Scenario::kStockMarket;
-  }
+  if (name == "stock" || name == "stock-market") return Scenario::kStockMarket;
   if (name == "dc" || name == "datacenter") return Scenario::kDataCenter;
   return InvalidArgumentError("unknown scenario '" + name + "' (stock|dc)");
 }
 
-Result<OptimizerMode> ModeFrom(const std::string& name) {
-  if (name == "na") return OptimizerMode::kNa;
-  if (name == "mst") return OptimizerMode::kMst;
-  if (name == "lcse") return OptimizerMode::kLcse;
-  if (name == "motto" || name.empty()) return OptimizerMode::kMotto;
-  return InvalidArgumentError("unknown mode '" + name +
-                              "' (na|mst|lcse|motto)");
-}
-
 Result<EvalOrderMode> EvalOrderFrom(const std::string& name) {
-  if (name == "arrival" || name.empty()) return EvalOrderMode::kArrival;
+  if (name == "arrival") return EvalOrderMode::kArrival;
   if (name == "selectivity" || name == "lazy") {
     return EvalOrderMode::kSelectivity;
   }
@@ -201,188 +97,158 @@ Result<std::vector<std::pair<std::string, double>>> CalibrationFrom(
       return InvalidArgumentError("bad calibration entry '" + entry +
                                   "' (want FAMILY=MULTIPLIER)");
     }
-    char* end = nullptr;
-    std::string value = entry.substr(eq + 1);
-    double multiplier = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || multiplier <= 0.0) {
+    Result<double> multiplier = ParseDouble(entry.substr(eq + 1));
+    if (!multiplier.ok() || *multiplier <= 0.0) {
       return InvalidArgumentError("bad calibration multiplier in '" + entry +
-                                  "' (want a positive number)");
+                                  "' (want a finite number > 0)");
     }
-    calibration.emplace_back(entry.substr(0, eq), multiplier);
+    calibration.emplace_back(entry.substr(0, eq), *multiplier);
     pos = comma + 1;
   }
   return calibration;
 }
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-/// Reads an integer flag that must be >= 1 (executor sizing knobs); a bare
-/// or non-positive value is a usage error rather than a silent fallback.
-Result<int64_t> GetPositive(const Args& args, const std::string& name,
-                            int64_t fallback) {
-  MOTTO_ASSIGN_OR_RETURN(int64_t value, args.GetInt(name, fallback));
-  if (value < 1) {
-    return InvalidArgumentError("--" + name + " must be a positive integer");
+Result<OptimizerOptions> OptimizerOptionsFrom(const FlagSet& flags) {
+  OptimizerOptions options;
+  const std::string& mode = flags.String("mode");
+  if (mode == "na") {
+    options.mode = OptimizerMode::kNa;
+  } else if (mode == "mst") {
+    options.mode = OptimizerMode::kMst;
+  } else if (mode == "lcse") {
+    options.mode = OptimizerMode::kLcse;
+  } else if (mode != "motto") {
+    return InvalidArgumentError("unknown mode '" + mode +
+                                "' (na|mst|lcse|motto)");
   }
-  return value;
+  MOTTO_ASSIGN_OR_RETURN(options.calibration,
+                         CalibrationFrom(flags.String("calibration")));
+  return options;
 }
 
-int GenStream(const Args& args) {
+/// What explain, run, compare and serve start from: the --workload queries,
+/// and statistics of the --stream events or, without --stream, of a
+/// synthetic --scenario stream.
+struct Inputs {
+  EventTypeRegistry registry;
+  std::vector<Query> queries;
+  EventStream stream;  // Empty unless loaded with keep_stream.
+  StreamStats stats;
+};
+
+Result<Inputs> LoadInputs(const FlagSet& flags, bool keep_stream) {
+  Inputs in;
+  MOTTO_ASSIGN_OR_RETURN(
+      in.queries, LoadWorkloadFile(flags.String("workload"), &in.registry));
+  if (flags.String("stream").empty()) {
+    StreamOptions options;
+    MOTTO_ASSIGN_OR_RETURN(options.scenario,
+                           ScenarioFrom(flags.String("scenario")));
+    options.num_events = 30000;
+    in.stream = GenerateStream(options, &in.registry);
+  } else {
+    MOTTO_ASSIGN_OR_RETURN(
+        in.stream, LoadStreamCsv(flags.String("stream"), &in.registry));
+  }
+  in.stats = ComputeStats(in.stream);
+  if (!keep_stream) EventStream().swap(in.stream);
+  return in;
+}
+
+/// Writes `doc` to `path` and says so, naming it `what`; an empty `path`
+/// (the bare `--json` / `--dot` form) writes to stdout instead.
+Status WriteDocument(const std::string& path, const std::string& doc,
+                     const std::string& what) {
+  if (path.empty()) {
+    std::fwrite(doc.data(), 1, doc.size(), stdout);
+    return Status::Ok();
+  }
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return InternalError("cannot open " + path);
+  out << doc;
+  if (!out.flush()) return InternalError("write failed for " + path);
+  std::printf("wrote %s to %s\n", what.c_str(), path.c_str());
+  return Status::Ok();
+}
+
+Result<int> GenStream(const FlagSet& flags) {
   EventTypeRegistry registry;
   StreamOptions options;
-  auto scenario = ScenarioFrom(args.Get("scenario", "stock"));
-  if (!scenario.ok()) return Fail(scenario.status());
-  options.scenario = *scenario;
-  auto events = args.GetInt("events", 100000);
-  if (!events.ok()) return Fail(events.status());
-  options.num_events = *events;
-  auto seed = args.GetInt("seed", 42);
-  if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
+  MOTTO_ASSIGN_OR_RETURN(options.scenario,
+                         ScenarioFrom(flags.String("scenario")));
+  options.num_events = flags.Int("events");
+  options.seed = static_cast<uint64_t>(flags.Int("seed"));
   EventStream stream = GenerateStream(options, &registry);
-  std::string out = args.Get("out", "stream.csv");
-  Status status = SaveStreamCsv(out, stream, registry);
-  if (!status.ok()) return Fail(status);
+  const std::string& out = flags.String("out");
+  MOTTO_RETURN_IF_ERROR(SaveStreamCsv(out, stream, registry));
   std::printf("wrote %zu events (%s scenario) to %s\n", stream.size(),
               std::string(ScenarioName(options.scenario)).c_str(),
               out.c_str());
   return 0;
 }
 
-int GenWorkload(const Args& args) {
+Result<int> GenWorkload(const FlagSet& flags) {
   EventTypeRegistry registry;
   WorkloadOptions options;
-  auto scenario = ScenarioFrom(args.Get("scenario", "stock"));
-  if (!scenario.ok()) return Fail(scenario.status());
-  options.scenario = *scenario;
-  auto queries = args.GetInt("queries", 100);
-  if (!queries.ok()) return Fail(queries.status());
-  options.num_queries = static_cast<int>(*queries);
-  auto ratio = args.GetDouble("ratio", 100.0);
-  if (!ratio.ok()) return Fail(ratio.status());
-  options.basic_ratio = *ratio / 100.0;
-  auto seed = args.GetInt("seed", 7);
-  if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
-  auto nested = args.GetInt("nested_level", 2);
-  if (!nested.ok()) return Fail(nested.status());
-  options.nested_level = static_cast<int>(*nested);
-  auto workload = GenerateWorkload(options, &registry);
-  if (!workload.ok()) return Fail(workload.status());
-  std::string out = args.Get("out", "workload.ccl");
-  Status status = SaveWorkloadFile(out, workload->queries, registry);
-  if (!status.ok()) return Fail(status);
-  std::printf("wrote %zu queries to %s\n", workload->queries.size(),
+  MOTTO_ASSIGN_OR_RETURN(options.scenario,
+                         ScenarioFrom(flags.String("scenario")));
+  options.num_queries = static_cast<int>(flags.Int("queries"));
+  options.basic_ratio = flags.Double("ratio") / 100.0;
+  options.seed = static_cast<uint64_t>(flags.Int("seed"));
+  options.nested_level = static_cast<int>(flags.Int("nested_level"));
+  MOTTO_ASSIGN_OR_RETURN(GeneratedWorkload workload,
+                         GenerateWorkload(options, &registry));
+  const std::string& out = flags.String("out");
+  MOTTO_RETURN_IF_ERROR(SaveWorkloadFile(out, workload.queries, registry));
+  std::printf("wrote %zu queries to %s\n", workload.queries.size(),
               out.c_str());
   return 0;
 }
 
-Result<StreamStats> StatsFor(const Args& args, EventTypeRegistry* registry,
-                             EventStream* stream_out) {
-  MOTTO_ASSIGN_OR_RETURN(std::string stream_path, args.GetValue("stream", ""));
-  if (stream_path.empty()) {
-    // No stream given: synthesize one for statistics only.
-    StreamOptions options;
-    MOTTO_ASSIGN_OR_RETURN(options.scenario,
-                           ScenarioFrom(args.Get("scenario", "stock")));
-    options.num_events = 30000;
-    EventStream stream = GenerateStream(options, registry);
-    StreamStats stats = ComputeStats(stream);
-    if (stream_out != nullptr) *stream_out = std::move(stream);
-    return stats;
-  }
-  MOTTO_ASSIGN_OR_RETURN(EventStream stream,
-                         LoadStreamCsv(stream_path, registry));
-  StreamStats stats = ComputeStats(stream);
-  if (stream_out != nullptr) *stream_out = std::move(stream);
-  return stats;
-}
-
-/// Writes `doc` to `path`, or to stdout when `path` is empty (the bare
-/// `--json` / `--dot` form).
-int EmitDocument(const std::string& path, const std::string& doc,
-                 const char* what) {
-  if (path.empty()) {
-    std::printf("%s", doc.c_str());
-    return 0;
-  }
-  std::ofstream out(path);
-  if (!out) return Fail(InternalError("cannot open " + path));
-  out << doc;
-  if (!out.flush()) return Fail(InternalError("write failed for " + path));
-  std::printf("wrote %s to %s\n", what, path.c_str());
-  return 0;
-}
-
-int Explain(const Args& args) {
-  EventTypeRegistry registry;
-  auto queries = LoadWorkloadFile(args.Get("workload", "workload.ccl"),
-                                  &registry);
-  if (!queries.ok()) return Fail(queries.status());
-  auto stats = StatsFor(args, &registry, nullptr);
-  if (!stats.ok()) return Fail(stats.status());
-  auto mode = ModeFrom(args.Get("mode", "motto"));
-  if (!mode.ok()) return Fail(mode.status());
-
-  OptimizerOptions options;
-  options.mode = *mode;
-  auto calibration = CalibrationFrom(args.Get("calibration", ""));
-  if (!calibration.ok()) return Fail(calibration.status());
-  options.calibration = *calibration;
-  std::string solver = args.Get("solver", "bnb");
+Result<int> Explain(const FlagSet& flags) {
+  MOTTO_ASSIGN_OR_RETURN(Inputs in, LoadInputs(flags, /*keep_stream=*/false));
+  MOTTO_ASSIGN_OR_RETURN(OptimizerOptions options,
+                         OptimizerOptionsFrom(flags));
+  const std::string& solver = flags.String("solver");
   if (solver == "sa") {
     options.planner.force_approximate = true;
   } else if (solver != "bnb") {
-    return Fail(InvalidArgumentError("unknown solver '" + solver +
-                                     "' (bnb|sa)"));
+    return InvalidArgumentError("unknown solver '" + solver + "' (bnb|sa)");
   }
   obs::OptimizerProbe probe;
   options.probe = &probe;
-  Optimizer optimizer(&registry, *stats, options);
-  auto outcome = optimizer.Optimize(*queries);
-  if (!outcome.ok()) return Fail(outcome.status());
+  Optimizer optimizer(&in.registry, in.stats, options);
+  MOTTO_ASSIGN_OR_RETURN(OptimizeOutcome outcome,
+                         optimizer.Optimize(in.queries));
 
-  obs::PlanExplain explain =
-      obs::BuildPlanExplain(*outcome, *stats, OptimizerModeName(*mode));
-  // --shards=N annotates the explain output with the data-parallel
-  // partition the sharded executor would run this plan under.
-  std::string partition_json;
-  std::string partition_text;
-  if (args.Has("shards")) {
-    auto shards = GetPositive(args, "shards", 4);
-    if (!shards.ok()) return Fail(shards.status());
-    PartitionPlan plan =
-        PartitionPlan::Build(outcome->jqp, static_cast<int>(*shards));
-    partition_json = plan.ToJson();
-    partition_text = plan.ToString(outcome->jqp);
+  obs::PlanExplain explain = obs::BuildPlanExplain(
+      outcome, in.stats, OptimizerModeName(options.mode));
+  std::optional<PartitionPlan> partition;
+  if (flags.Has("shards")) {
+    partition = PartitionPlan::Build(outcome.jqp,
+                                     static_cast<int>(flags.Int("shards")));
   }
-  bool structured = false;
-  if (args.Has("json")) {
-    structured = true;
-    int rc = EmitDocument(args.Get("json", ""),
-                          explain.ToJson(&probe, partition_json) + "\n",
-                          "explain json");
-    if (rc != 0) return rc;
+  if (flags.Has("json")) {
+    std::string json = explain.ToJson(&probe, partition ? partition->ToJson()
+                                                        : std::string());
+    MOTTO_RETURN_IF_ERROR(
+        WriteDocument(flags.String("json"), json + "\n", "explain json"));
   }
-  if (args.Has("dot")) {
-    structured = true;
-    int rc = EmitDocument(args.Get("dot", ""), explain.ToDot(), "explain dot");
-    if (rc != 0) return rc;
+  if (flags.Has("dot")) {
+    MOTTO_RETURN_IF_ERROR(
+        WriteDocument(flags.String("dot"), explain.ToDot(), "explain dot"));
   }
-  if (structured) return 0;
+  if (flags.Has("json") || flags.Has("dot")) return 0;
 
   std::printf("-- sharing graph --\n%s",
-              outcome->sharing_graph.ToString(registry).c_str());
+              outcome.sharing_graph.ToString(in.registry).c_str());
   std::printf("\n-- optimizer --\n%s", probe.Summary().c_str());
   std::printf("\n-- plan (%s, cost %.2f vs %.2f unshared) --\n%s",
-              outcome->exact ? "exact" : "approximate",
-              outcome->planned_cost, outcome->default_cost,
-              outcome->jqp.ToString(registry).c_str());
-  if (!partition_text.empty()) {
-    std::printf("\n-- partition --\n%s", partition_text.c_str());
+              outcome.exact ? "exact" : "approximate", outcome.planned_cost,
+              outcome.default_cost, outcome.jqp.ToString(in.registry).c_str());
+  if (partition) {
+    std::printf("\n-- partition --\n%s",
+                partition->ToString(outcome.jqp).c_str());
   }
   return 0;
 }
@@ -391,61 +257,35 @@ int Explain(const Args& args) {
 /// scripted add/remove commands — each one triggers an incremental re-plan
 /// (only the affected sharing-graph region is re-solved) and a live plan
 /// swap that migrates surviving matcher state (DESIGN.md §14).
-int ChurnWorkload(const Args& args) {
-  EventTypeRegistry registry;
-  auto workload_path = args.GetValue("workload", "workload.ccl");
-  if (!workload_path.ok()) return Fail(workload_path.status());
-  auto queries = LoadWorkloadFile(*workload_path, &registry);
-  if (!queries.ok()) return Fail(queries.status());
-  EventStream stream;
-  auto stats = StatsFor(args, &registry, &stream);
-  if (!stats.ok()) return Fail(stats.status());
-  auto mode_name = args.GetValue("mode", "motto");
-  if (!mode_name.ok()) return Fail(mode_name.status());
-  auto mode = ModeFrom(*mode_name);
-  if (!mode.ok()) return Fail(mode.status());
-  if (*mode != OptimizerMode::kMotto) {
-    return Fail(InvalidArgumentError("--churn requires --mode=motto"));
+Status Churn(const FlagSet& flags, Inputs* in, const OptimizerOptions& options,
+             const ExecutorOptions& exec_options) {
+  if (options.mode != OptimizerMode::kMotto) {
+    return InvalidArgumentError("--churn requires --mode=motto");
   }
-  auto shards = GetPositive(args, "shards", 1);
-  if (!shards.ok()) return Fail(shards.status());
-  auto threads = GetPositive(args, "threads", 1);
-  if (!threads.ok()) return Fail(threads.status());
-  if (*shards > 1 || *threads > 1) {
-    return Fail(InvalidArgumentError(
+  if (flags.Int("shards") > 1 || flags.Int("threads") > 1) {
+    return InvalidArgumentError(
         "--churn migrates state between single-threaded executor sessions; "
-        "drop --shards/--threads"));
+        "drop --shards/--threads");
   }
-  auto churn_path = args.GetValue("churn", "");
-  if (!churn_path.ok()) return Fail(churn_path.status());
-  auto script = LoadChurnScript(*churn_path, &registry);
-  if (!script.ok()) return Fail(script.status());
-  auto eval_order = EvalOrderFrom(args.Get("eval-order", "arrival"));
-  if (!eval_order.ok()) return Fail(eval_order.status());
-
-  OptimizerOptions options;
-  options.mode = *mode;
-  auto calibration = CalibrationFrom(args.Get("calibration", ""));
-  if (!calibration.ok()) return Fail(calibration.status());
-  options.calibration = *calibration;
-
-  obs::MetricsRegistry metrics;
-  std::string metrics_path = args.Get("metrics-out", "");
+  if (flags.Has("stats") || flags.Has("calibrate") || flags.Has("trace")) {
+    return InvalidArgumentError(
+        "--churn does not support --stats, --calibrate or --trace");
+  }
+  MOTTO_ASSIGN_OR_RETURN(ChurnScript script,
+                         LoadChurnScript(flags.String("churn"), &in->registry));
   ChurnRunOptions run_options;
-  run_options.executor.eval_order = *eval_order;
-  if (!metrics_path.empty()) run_options.executor.metrics = &metrics;
-
-  auto outcome =
-      RunChurn(*queries, *script, stream, &registry, options, run_options);
-  if (!outcome.ok()) return Fail(outcome.status());
-
-  const RunResult& run = outcome->result;
+  run_options.executor = exec_options;
+  MOTTO_ASSIGN_OR_RETURN(
+      ChurnOutcome outcome,
+      RunChurn(in->queries, script, in->stream, &in->registry, options,
+               run_options));
+  const RunResult& run = outcome.result;
   std::printf("%llu events in %.3fs (%.0f events/s), %zu commands, "
               "%zu plan swaps\n",
               static_cast<unsigned long long>(run.raw_events),
               run.elapsed_seconds, run.ThroughputEps(),
-              script->commands.size(), outcome->migration.swaps);
-  for (const ReoptimizeStats& r : outcome->reoptimizations) {
+              script.commands.size(), outcome.migration.swaps);
+  for (const ReoptimizeStats& r : outcome.reoptimizations) {
     if (r.added) {
       std::printf("  re-plan add '%s': re-solved %zu of %zu graph nodes "
                   "(%zu pinned, %zu re-decided), %s, %.3fs\n",
@@ -458,14 +298,14 @@ int ChurnWorkload(const Args& args) {
                   r.query.c_str(), r.plan_cost);
     }
   }
-  const MigrationStats& m = outcome->migration;
+  const MigrationStats& m = outcome.migration;
   std::printf("  migration: %zu nodes kept, %zu fresh, %zu dropped, "
               "%zu failed imports; %zu partials + %zu pending + %zu buffered "
               "transferred\n",
               m.nodes_kept, m.nodes_new, m.nodes_dropped, m.imports_failed,
               m.partials_transferred, m.pending_transferred,
               m.buffered_transferred);
-  for (const auto& [name, window] : outcome->windows) {
+  for (const auto& [name, window] : outcome.windows) {
     auto it = run.sink_counts.find(name);
     std::string live = "[";
     live += window.first == kAlwaysLive ? "start"
@@ -479,94 +319,36 @@ int ChurnWorkload(const Args& args) {
                     it == run.sink_counts.end() ? 0 : it->second),
                 live.c_str());
   }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) return Fail(InternalError("cannot open " + metrics_path));
-    out << metrics.ToJson() << "\n";
-    if (!out.flush()) {
-      return Fail(InternalError("write failed for " + metrics_path));
-    }
-    std::printf("wrote metrics to %s\n", metrics_path.c_str());
-  }
-  return 0;
+  return Status::Ok();
 }
 
-int RunWorkload(const Args& args) {
-  if (args.Has("churn")) return ChurnWorkload(args);
-  EventTypeRegistry registry;
-  auto queries = LoadWorkloadFile(args.Get("workload", "workload.ccl"),
-                                  &registry);
-  if (!queries.ok()) return Fail(queries.status());
-  EventStream stream;
-  auto stats = StatsFor(args, &registry, &stream);
-  if (!stats.ok()) return Fail(stats.status());
-  auto mode = ModeFrom(args.Get("mode", "motto"));
-  if (!mode.ok()) return Fail(mode.status());
-
-  OptimizerOptions options;
-  options.mode = *mode;
-  auto calibration = CalibrationFrom(args.Get("calibration", ""));
-  if (!calibration.ok()) return Fail(calibration.status());
-  options.calibration = *calibration;
-  Optimizer optimizer(&registry, *stats, options);
-  auto outcome = optimizer.Optimize(*queries);
-  if (!outcome.ok()) return Fail(outcome.status());
-
-  auto eval_order = EvalOrderFrom(args.Get("eval-order", "arrival"));
-  if (!eval_order.ok()) return Fail(eval_order.status());
-  auto threads_arg = GetPositive(args, "threads", 1);
-  if (!threads_arg.ok()) return Fail(threads_arg.status());
-  int threads = static_cast<int>(*threads_arg);
-  auto batch_arg = GetPositive(args, "batch-size", 512);
-  if (!batch_arg.ok()) return Fail(batch_arg.status());
-  auto depth_arg = GetPositive(args, "pipe-depth", 4);
-  if (!depth_arg.ok()) return Fail(depth_arg.status());
-  auto shards_arg = GetPositive(args, "shards", 1);
-  if (!shards_arg.ok()) return Fail(shards_arg.status());
-  int shards = static_cast<int>(*shards_arg);
-  bool want_stats = args.Has("stats");
-  bool want_calibrate = args.Has("calibrate");
-  std::string stats_format = args.Get("stats", "");
-  std::string calibrate_format = args.Get("calibrate", "");
-  std::string trace_path = args.Get("trace", "");
-  std::string metrics_path = args.Get("metrics-out", "");
-
-  obs::MetricsRegistry metrics;
+/// Optimizes the workload and replays the stream through the plan.
+Status RunPlan(const FlagSet& flags, Inputs* in,
+               const OptimizerOptions& options, ExecutorOptions exec_options,
+               obs::MetricsRegistry* metrics) {
+  Optimizer optimizer(&in->registry, in->stats, options);
+  MOTTO_ASSIGN_OR_RETURN(OptimizeOutcome outcome,
+                         optimizer.Optimize(in->queries));
+  const bool want_stats = flags.Has("stats");
+  const bool want_calibrate = flags.Has("calibrate");
+  const std::string& trace_path = flags.String("trace");
   obs::TraceSink trace_sink;
-  ExecutorOptions exec_options;
-  exec_options.eval_order = *eval_order;
   // Calibration joins predicted costs against measured per-node timing.
   exec_options.collect_node_timing = want_stats || want_calibrate;
-  if (want_stats || !metrics_path.empty()) exec_options.metrics = &metrics;
+  if (want_stats) exec_options.metrics = metrics;
   if (!trace_path.empty()) exec_options.trace = &trace_sink;
 
-  RunResult run;
-  if (shards > 1) {
-    auto executor = ShardedExecutor::Create(outcome->jqp, shards, threads);
-    if (!executor.ok()) return Fail(executor.status());
-    auto result = executor->Run(stream, exec_options);
-    if (!result.ok()) return Fail(result.status());
-    run = *std::move(result);
-  } else if (threads > 1) {
-    auto executor = ParallelExecutor::Create(
-        outcome->jqp, threads, static_cast<size_t>(*batch_arg),
-        static_cast<size_t>(*depth_arg));
-    if (!executor.ok()) return Fail(executor.status());
-    auto result = executor->Run(stream, exec_options);
-    if (!result.ok()) return Fail(result.status());
-    run = *std::move(result);
-  } else {
-    auto executor = Executor::Create(outcome->jqp);
-    if (!executor.ok()) return Fail(executor.status());
-    auto result = executor->Run(stream, exec_options);
-    if (!result.ok()) return Fail(result.status());
-    run = *std::move(result);
-  }
+  MOTTO_ASSIGN_OR_RETURN(
+      AnyExecutor executor,
+      MakeExecutor(outcome.jqp, static_cast<int>(flags.Int("shards")),
+                   static_cast<int>(flags.Int("threads"))));
+  MOTTO_ASSIGN_OR_RETURN(RunResult run,
+                         executor.Run(in->stream, exec_options));
   std::printf("%llu events in %.3fs (%.0f events/s), plan %zu nodes (%s)\n",
               static_cast<unsigned long long>(run.raw_events),
               run.elapsed_seconds, run.ThroughputEps(),
-              outcome->jqp.nodes.size(),
-              std::string(OptimizerModeName(*mode)).c_str());
+              outcome.jqp.nodes.size(),
+              std::string(OptimizerModeName(options.mode)).c_str());
   if (run.sharded.shards > 0) {
     std::printf("  sharded: %d shards over %d threads, %d groups, "
                 "skew %.2fx (max %.3fs vs mean %.3fs busy)\n",
@@ -574,26 +356,26 @@ int RunWorkload(const Args& args) {
                 run.sharded.skew, run.sharded.max_busy_seconds,
                 run.sharded.mean_busy_seconds);
   }
-  for (const Query& query : *queries) {
+  for (const Query& query : in->queries) {
     auto it = run.sink_counts.find(query.name);
     std::printf("  %-16s %llu matches\n", query.name.c_str(),
                 static_cast<unsigned long long>(
                     it == run.sink_counts.end() ? 0 : it->second));
   }
   if (want_stats) {
-    obs::RunReport report = obs::BuildRunReport(outcome->jqp, *stats, run);
-    if (stats_format == "json") {
+    obs::RunReport report = obs::BuildRunReport(outcome.jqp, in->stats, run);
+    if (flags.String("stats") == "json") {
       std::printf("%s\n", report.ToJson().c_str());
     } else {
       std::printf("%s", report.ToTable().c_str());
     }
   }
   if (want_calibrate) {
-    obs::RunReport report = obs::BuildRunReport(outcome->jqp, *stats, run);
-    obs::PlanExplain explain =
-        obs::BuildPlanExplain(*outcome, *stats, OptimizerModeName(*mode));
+    obs::RunReport report = obs::BuildRunReport(outcome.jqp, in->stats, run);
+    obs::PlanExplain explain = obs::BuildPlanExplain(
+        outcome, in->stats, OptimizerModeName(options.mode));
     obs::CalibrationReport calibration = obs::BuildCalibration(explain, report);
-    if (calibrate_format == "json") {
+    if (flags.String("calibrate") == "json") {
       std::printf("%s\n", calibration.ToJson().c_str());
     } else {
       std::printf("-- calibration (predicted vs measured by rewrite family) "
@@ -602,62 +384,51 @@ int RunWorkload(const Args& args) {
     }
   }
   if (!trace_path.empty()) {
-    Status status = trace_sink.WriteJson(trace_path);
-    if (!status.ok()) return Fail(status);
+    MOTTO_RETURN_IF_ERROR(trace_sink.WriteJson(trace_path));
     std::printf("wrote %zu trace events to %s\n", trace_sink.event_count(),
                 trace_path.c_str());
   }
+  return Status::Ok();
+}
+
+Result<int> Run(const FlagSet& flags) {
+  MOTTO_ASSIGN_OR_RETURN(Inputs in, LoadInputs(flags, /*keep_stream=*/true));
+  MOTTO_ASSIGN_OR_RETURN(OptimizerOptions options,
+                         OptimizerOptionsFrom(flags));
+  ExecutorOptions exec_options;
+  MOTTO_ASSIGN_OR_RETURN(exec_options.eval_order,
+                         EvalOrderFrom(flags.String("eval-order")));
+  obs::MetricsRegistry metrics;
+  const std::string& metrics_path = flags.String("metrics-out");
+  if (!metrics_path.empty()) exec_options.metrics = &metrics;
+  MOTTO_RETURN_IF_ERROR(
+      flags.Has("churn")
+          ? Churn(flags, &in, options, exec_options)
+          : RunPlan(flags, &in, options, exec_options, &metrics));
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      return Fail(InternalError("cannot open " + metrics_path));
-    }
-    out << metrics.ToJson() << "\n";
-    if (!out.flush()) {
-      return Fail(InternalError("write failed for " + metrics_path));
-    }
-    std::printf("wrote metrics to %s\n", metrics_path.c_str());
+    MOTTO_RETURN_IF_ERROR(
+        WriteDocument(metrics_path, metrics.ToJson() + "\n", "metrics"));
   }
   return 0;
 }
 
-int Compare(const Args& args) {
-  EventTypeRegistry registry;
-  auto queries = LoadWorkloadFile(args.Get("workload", "workload.ccl"),
-                                  &registry);
-  if (!queries.ok()) return Fail(queries.status());
-  EventStream stream;
-  auto stats = StatsFor(args, &registry, &stream);
-  if (!stats.ok()) return Fail(stats.status());
-
+Result<int> Compare(const FlagSet& flags) {
+  MOTTO_ASSIGN_OR_RETURN(Inputs in, LoadInputs(flags, /*keep_stream=*/true));
   ComparisonOptions options;
   options.warmup = true;
-  auto runs_arg = args.GetInt("runs", 3);
-  if (!runs_arg.ok()) return Fail(runs_arg.status());
-  options.measure_runs = static_cast<int>(*runs_arg);
-  options.collect_reports = args.Has("reports");
-  auto shards = GetPositive(args, "shards", 1);
-  if (!shards.ok()) return Fail(shards.status());
-  options.shards = static_cast<int>(*shards);
-  auto threads = GetPositive(args, "threads", 1);
-  if (!threads.ok()) return Fail(threads.status());
-  options.threads = static_cast<int>(*threads);
-  auto batch = GetPositive(args, "batch-size", 512);
-  if (!batch.ok()) return Fail(batch.status());
-  options.batch_size = static_cast<size_t>(*batch);
-  auto depth = GetPositive(args, "pipe-depth", 4);
-  if (!depth.ok()) return Fail(depth.status());
-  options.pipe_depth = static_cast<size_t>(*depth);
-  auto eval_order = EvalOrderFrom(args.Get("eval-order", "arrival"));
-  if (!eval_order.ok()) return Fail(eval_order.status());
-  options.eval_order = *eval_order;
-  auto calibration = CalibrationFrom(args.Get("calibration", ""));
-  if (!calibration.ok()) return Fail(calibration.status());
-  options.calibration = *calibration;
-  auto runs = CompareModes(*queries, stream, &registry, options);
-  if (!runs.ok()) return Fail(runs.status());
+  options.measure_runs = static_cast<int>(flags.Int("runs"));
+  options.collect_reports = flags.Switch("reports");
+  options.shards = static_cast<int>(flags.Int("shards"));
+  options.threads = static_cast<int>(flags.Int("threads"));
+  MOTTO_ASSIGN_OR_RETURN(options.eval_order,
+                         EvalOrderFrom(flags.String("eval-order")));
+  MOTTO_ASSIGN_OR_RETURN(options.calibration,
+                         CalibrationFrom(flags.String("calibration")));
+  MOTTO_ASSIGN_OR_RETURN(
+      std::vector<ModeRun> runs,
+      CompareModes(in.queries, in.stream, &in.registry, options));
   std::printf(" mode  | events/s  | x NA  | opt s  | plan nodes | matches\n");
-  for (const ModeRun& run : *runs) {
+  for (const ModeRun& run : runs) {
     std::printf(" %-5s | %9.0f | %5.2f | %6.3f | %10zu | %llu\n",
                 std::string(OptimizerModeName(run.mode)).c_str(),
                 run.throughput_eps, run.normalized, run.optimize_seconds,
@@ -668,7 +439,7 @@ int Compare(const Args& args) {
     }
   }
   if (options.collect_reports) {
-    for (const ModeRun& run : *runs) {
+    for (const ModeRun& run : runs) {
       std::printf("\n-- %s report --\n%s",
                   std::string(OptimizerModeName(run.mode)).c_str(),
                   run.report.ToTable().c_str());
@@ -681,39 +452,27 @@ int Compare(const Args& args) {
 /// `motto serve` ingests (DESIGN.md §15). `--skip=N` is the resume path: a
 /// client re-sending after a crash skips the events the server's recovered
 /// checkpoint already ingested.
-int WireEncode(const Args& args) {
+Result<int> WireEncode(const FlagSet& flags) {
   EventTypeRegistry registry;
-  auto stream_path = args.GetValue("stream", "stream.csv");
-  if (!stream_path.ok()) return Fail(stream_path.status());
-  auto stream = LoadStreamCsv(*stream_path, &registry);
-  if (!stream.ok()) return Fail(stream.status());
+  MOTTO_ASSIGN_OR_RETURN(EventStream stream,
+                         LoadStreamCsv(flags.String("stream"), &registry));
   serve::EncodeStreamOptions options;
-  auto skip = args.GetInt("skip", 0);
-  if (!skip.ok()) return Fail(skip.status());
-  options.skip_events = static_cast<uint64_t>(*skip);
-  auto limit = args.GetInt("limit", 0);
-  if (!limit.ok()) return Fail(limit.status());
-  options.limit_events = static_cast<uint64_t>(*limit);
-  auto every = args.GetInt("checkpoint-every", 0);
-  if (!every.ok()) return Fail(every.status());
-  options.checkpoint_every = static_cast<uint64_t>(*every);
-  options.with_end = !args.Has("no-end");
-  std::string bytes = serve::EncodeStream(*stream, registry, options);
-  std::string out = args.Get("out", "stream.bin");
-  std::ofstream file(out, std::ios::binary | std::ios::trunc);
-  if (!file) return Fail(InternalError("cannot open " + out));
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!file.flush()) return Fail(InternalError("write failed for " + out));
+  options.skip_events = static_cast<uint64_t>(flags.Int("skip"));
+  options.limit_events = static_cast<uint64_t>(flags.Int("limit"));
+  options.checkpoint_every =
+      static_cast<uint64_t>(flags.Int("checkpoint-every"));
+  options.with_end = !flags.Switch("no-end");
+  std::string bytes = serve::EncodeStream(stream, registry, options);
   uint64_t remaining =
-      static_cast<uint64_t>(stream->size()) -
-      std::min(options.skip_events, static_cast<uint64_t>(stream->size()));
+      static_cast<uint64_t>(stream.size()) -
+      std::min(options.skip_events, static_cast<uint64_t>(stream.size()));
   if (options.limit_events > 0) {
     remaining = std::min(remaining, options.limit_events);
   }
-  std::printf("wrote %zu bytes (%llu events, %llu skipped) to %s\n",
-              bytes.size(), static_cast<unsigned long long>(remaining),
-              static_cast<unsigned long long>(options.skip_events),
-              out.c_str());
+  MOTTO_RETURN_IF_ERROR(WriteDocument(
+      flags.String("out"), bytes,
+      std::to_string(bytes.size()) + " bytes (" + std::to_string(remaining) +
+          " events, " + std::to_string(options.skip_events) + " skipped)"));
   return 0;
 }
 
@@ -749,41 +508,27 @@ Result<int> InstallShutdownPipe() {
 /// to per-connection files under the checkpoint output-commit discipline,
 /// so SIGKILL + restart + re-send from the printed resume offset emits
 /// exactly what a never-killed run would.
-int Serve(const Args& args) {
-  EventTypeRegistry registry;
-  auto queries = LoadWorkloadFile(args.Get("workload", "workload.ccl"),
-                                  &registry);
-  if (!queries.ok()) return Fail(queries.status());
-  auto stats = StatsFor(args, &registry, nullptr);
-  if (!stats.ok()) return Fail(stats.status());
-
+Result<int> Serve(const FlagSet& flags) {
+  MOTTO_ASSIGN_OR_RETURN(Inputs in, LoadInputs(flags, /*keep_stream=*/false));
   serve::ServeOptions options;
-  auto ckpt_dir = args.GetValue("checkpoint-dir", "");
-  if (!ckpt_dir.ok()) return Fail(ckpt_dir.status());
-  options.checkpoint_dir = *ckpt_dir;
-  auto interval = args.GetInt("checkpoint-interval", 10000);
-  if (!interval.ok()) return Fail(interval.status());
-  if (*interval < 0) {
-    return Fail(InvalidArgumentError("--checkpoint-interval must be >= 0"));
-  }
-  options.checkpoint_interval = static_cast<uint64_t>(*interval);
-  auto out_dir = args.GetValue("out-dir", "serve_out");
-  if (!out_dir.ok()) return Fail(out_dir.status());
-  options.out_dir = *out_dir;
-  auto eval_order = EvalOrderFrom(args.Get("eval-order", "arrival"));
-  if (!eval_order.ok()) return Fail(eval_order.status());
-  options.eval_order = *eval_order;
+  options.checkpoint_dir = flags.String("checkpoint-dir");
+  options.checkpoint_interval =
+      static_cast<uint64_t>(flags.Int("checkpoint-interval"));
+  options.out_dir = flags.String("out-dir");
+  MOTTO_ASSIGN_OR_RETURN(options.eval_order,
+                         EvalOrderFrom(flags.String("eval-order")));
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
 
-  auto core = serve::ServeCore::Create(*queries, registry, *stats,
-                                       std::move(options));
-  if (!core.ok()) return Fail(core.status());
-  for (const std::string& warning : (*core)->recovery().warnings) {
+  MOTTO_ASSIGN_OR_RETURN(
+      std::unique_ptr<serve::ServeCore> core,
+      serve::ServeCore::Create(in.queries, in.registry, in.stats,
+                               std::move(options)));
+  const serve::RecoveryInfo& r = core->recovery();
+  for (const std::string& warning : r.warnings) {
     std::fprintf(stderr, "serve: warning: %s\n", warning.c_str());
   }
-  if ((*core)->recovery().recovered) {
-    const serve::RecoveryInfo& r = (*core)->recovery();
+  if (r.recovered) {
     std::printf("serve: recovered checkpoint seq=%llu ingested=%llu "
                 "watermark=%lld (nodes kept=%zu fresh=%zu failed=%zu)\n",
                 static_cast<unsigned long long>(r.checkpoint_seq),
@@ -795,54 +540,40 @@ int Serve(const Args& args) {
   }
 
   serve::IngestOptions ingest;
-  auto queue = GetPositive(args, "ingest-queue", 4096);
-  if (!queue.ok()) return Fail(queue.status());
-  ingest.queue_capacity = static_cast<size_t>(*queue);
-  std::string admission = args.Get("admission", "block");
+  ingest.queue_capacity = static_cast<size_t>(flags.Int("ingest-queue"));
+  const std::string& admission = flags.String("admission");
   if (admission == "shed") {
     ingest.shed = true;
   } else if (admission != "block") {
-    return Fail(InvalidArgumentError("unknown --admission '" + admission +
-                                     "' (block|shed)"));
+    return InvalidArgumentError("unknown --admission '" + admission +
+                                "' (block|shed)");
   }
-  auto shutdown_fd = InstallShutdownPipe();
-  if (!shutdown_fd.ok()) return Fail(shutdown_fd.status());
-  ingest.shutdown_fd = *shutdown_fd;
+  MOTTO_ASSIGN_OR_RETURN(ingest.shutdown_fd, InstallShutdownPipe());
 
   // Telemetry (DESIGN.md §16): periodic snapshots whenever a status port or
   // stats log asks for them; the tick runs on the engine thread.
   serve::TelemetryOptions telemetry_options;
-  auto snapshot_interval = args.GetDouble("snapshot-interval", 1.0);
-  if (!snapshot_interval.ok()) return Fail(snapshot_interval.status());
-  telemetry_options.snapshot_interval_seconds = *snapshot_interval;
-  auto snapshot_every = args.GetInt("snapshot-every", 0);
-  if (!snapshot_every.ok()) return Fail(snapshot_every.status());
-  if (*snapshot_every < 0) {
-    return Fail(InvalidArgumentError("--snapshot-every must be >= 0"));
-  }
+  telemetry_options.snapshot_interval_seconds =
+      flags.Double("snapshot-interval");
   telemetry_options.snapshot_every_events =
-      static_cast<uint64_t>(*snapshot_every);
-  auto stats_log = args.GetValue("stats-log", "");
-  if (!stats_log.ok()) return Fail(stats_log.status());
-  telemetry_options.stats_log_path = *stats_log;
+      static_cast<uint64_t>(flags.Int("snapshot-every"));
+  telemetry_options.stats_log_path = flags.String("stats-log");
   const bool want_telemetry =
-      args.Has("status-port") || !telemetry_options.stats_log_path.empty() ||
+      flags.Has("status-port") || !telemetry_options.stats_log_path.empty() ||
       telemetry_options.snapshot_every_events > 0;
 
   std::optional<serve::ServeTelemetry> telemetry;
   std::unique_ptr<serve::StatusServer> status_server;
   if (want_telemetry) {
-    telemetry.emplace(core->get(), telemetry_options);
-    if (!telemetry->status().ok()) return Fail(telemetry->status());
+    telemetry.emplace(core.get(), telemetry_options);
+    MOTTO_RETURN_IF_ERROR(telemetry->status());
     telemetry->Tick(/*force=*/true);  // Publish before the first request.
-    if (args.Has("status-port")) {
-      auto status_port = args.GetInt("status-port", 0);
-      if (!status_port.ok()) return Fail(status_port.status());
-      auto server = serve::StatusServer::Start(
-          static_cast<int>(*status_port),
-          [t = &*telemetry] { return t->Latest(); });
-      if (!server.ok()) return Fail(server.status());
-      status_server = std::move(*server);
+    if (flags.Has("status-port")) {
+      MOTTO_ASSIGN_OR_RETURN(
+          status_server,
+          serve::StatusServer::Start(
+              static_cast<int>(flags.Int("status-port")),
+              [t = &*telemetry] { return t->Latest(); }));
       std::printf("serve: status on 127.0.0.1:%d\n", status_server->port());
       std::fflush(stdout);
     }
@@ -854,36 +585,34 @@ int Serve(const Args& args) {
   }
 
   Result<serve::IngestLoopResult> loop = serve::IngestLoopResult{};
-  if (args.Has("listen")) {
-    auto port = args.GetInt("listen", 0);
-    if (!port.ok()) return Fail(port.status());
+  if (flags.Has("listen")) {
     int actual_port = 0;
-    auto listen_fd = serve::ListenTcp(static_cast<int>(*port), &actual_port);
-    if (!listen_fd.ok()) return Fail(listen_fd.status());
+    MOTTO_ASSIGN_OR_RETURN(
+        int listen_fd,
+        serve::ListenTcp(static_cast<int>(flags.Int("listen")), &actual_port));
     std::printf("serve: listening on 127.0.0.1:%d\n", actual_port);
     std::fflush(stdout);
-    loop = serve::ServeTcpLoop(core->get(), *listen_fd, ingest,
+    loop = serve::ServeTcpLoop(core.get(), listen_fd, ingest,
                                +[](uint32_t connection) {
                                  std::printf("serve: connection %u\n",
                                              connection);
                                  std::fflush(stdout);
                                });
-    ::close(*listen_fd);
+    ::close(listen_fd);
   } else {
     std::printf("serve: ready\n");
     std::fflush(stdout);
-    loop = serve::RunIngestLoop(core->get(), STDIN_FILENO, ingest);
+    loop = serve::RunIngestLoop(core.get(), STDIN_FILENO, ingest);
   }
-  if (!loop.ok()) return Fail(loop.status());
+  MOTTO_RETURN_IF_ERROR(loop.status());
 
   int exit_code = 0;
   if (loop->end_seen) {
-    auto result = (*core)->Finish();
-    if (!result.ok()) return Fail(result.status());
+    MOTTO_RETURN_IF_ERROR(core->Finish().status());
     std::printf("serve: end of stream: %llu events, %llu checkpoints\n",
-                static_cast<unsigned long long>((*core)->ingested()),
-                static_cast<unsigned long long>((*core)->checkpoints_taken()));
-    for (const auto& [sink, count] : (*core)->sink_released()) {
+                static_cast<unsigned long long>(core->ingested()),
+                static_cast<unsigned long long>(core->checkpoints_taken()));
+    for (const auto& [sink, count] : core->sink_released()) {
       std::printf("  %s: %llu matches\n", sink.c_str(),
                   static_cast<unsigned long long>(count));
     }
@@ -891,21 +620,19 @@ int Serve(const Args& args) {
     // SIGTERM/SIGINT: the queue is already drained into the engine; persist
     // a resumable checkpoint (no final window flush — a restart must emit
     // exactly what an uninterrupted run would) and leave cleanly.
-    Status status = (*core)->Checkpoint();
-    if (!status.ok()) return Fail(status);
+    MOTTO_RETURN_IF_ERROR(core->Checkpoint());
     std::printf("serve: graceful shutdown: drained queue at ingested=%llu, "
                 "checkpoint saved (resume with wire-encode --skip=%llu)\n",
-                static_cast<unsigned long long>((*core)->ingested()),
-                static_cast<unsigned long long>((*core)->ingested()));
+                static_cast<unsigned long long>(core->ingested()),
+                static_cast<unsigned long long>(core->ingested()));
   } else {
     // EOF (or decode error) without a kEnd frame — the SIGKILL-adjacent
     // path: persist a final snapshot and suspend; a restart resumes here.
-    Status status = (*core)->Checkpoint();
-    if (!status.ok()) return Fail(status);
+    MOTTO_RETURN_IF_ERROR(core->Checkpoint());
     std::printf("serve: suspended at ingested=%llu (resume with "
                 "wire-encode --skip=%llu)\n",
-                static_cast<unsigned long long>((*core)->ingested()),
-                static_cast<unsigned long long>((*core)->ingested()));
+                static_cast<unsigned long long>(core->ingested()),
+                static_cast<unsigned long long>(core->ingested()));
     if (!loop->error.empty()) {
       std::fprintf(stderr, "serve: stream error: %s\n", loop->error.c_str());
       exit_code = 1;
@@ -926,14 +653,10 @@ int Serve(const Args& args) {
       std::fprintf(stderr, "serve: warning: %s\n", message.c_str());
     }
   }
-  std::string metrics_path = args.Get("metrics-out", "");
+  const std::string& metrics_path = flags.String("metrics-out");
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) return Fail(InternalError("cannot open " + metrics_path));
-    out << metrics.ToJson() << "\n";
-    if (!out.flush()) {
-      return Fail(InternalError("write failed for " + metrics_path));
-    }
+    MOTTO_RETURN_IF_ERROR(
+        WriteDocument(metrics_path, metrics.ToJson() + "\n", "metrics"));
   }
   return exit_code;
 }
@@ -1074,175 +797,252 @@ void RenderTop(const JsonValue& s) {
 
 /// `motto top`: a refreshing terminal view of a running server's health,
 /// polled from /statusz (--port) or tailed from a stats log (--from-log).
-int Top(const Args& args) {
-  auto from_log = args.GetValue("from-log", "");
-  if (!from_log.ok()) return Fail(from_log.status());
-  auto port_arg = args.GetInt("port", 0);
-  if (!port_arg.ok()) return Fail(port_arg.status());
-  int port = static_cast<int>(*port_arg);
-  if (from_log->empty() && port <= 0) {
-    return Fail(InvalidArgumentError(
+Result<int> Top(const FlagSet& flags) {
+  const std::string& from_log = flags.String("from-log");
+  const int port = static_cast<int>(flags.Int("port"));
+  if (from_log.empty() && port <= 0) {
+    return InvalidArgumentError(
         "motto top needs --port=P (a serve --status-port) or "
-        "--from-log=FILE.jsonl"));
+        "--from-log=FILE.jsonl");
   }
-  auto interval = args.GetDouble("interval", 2.0);
-  if (!interval.ok()) return Fail(interval.status());
-  if (*interval <= 0) {
-    return Fail(InvalidArgumentError("--interval must be > 0"));
-  }
-  auto iterations = args.GetInt("iterations", 0);
-  if (!iterations.ok()) return Fail(iterations.status());
-  int64_t remaining = *iterations;
-  if (args.Has("once")) remaining = 1;
-  const bool clear = !args.Has("no-clear") && remaining != 1;
+  int64_t remaining = flags.Switch("once") ? 1 : flags.Int("iterations");
+  const bool clear = !flags.Switch("no-clear") && remaining != 1;
   for (int64_t shown = 0;; ++shown) {
-    Result<std::string> body = from_log->empty()
-                                   ? HttpGetLocal(port, "/statusz")
-                                   : LastStatsLogLine(*from_log);
-    if (!body.ok()) return Fail(body.status());
-    auto parsed = JsonValue::Parse(*body);
-    if (!parsed.ok()) return Fail(parsed.status());
+    MOTTO_ASSIGN_OR_RETURN(std::string body,
+                           from_log.empty() ? HttpGetLocal(port, "/statusz")
+                                            : LastStatsLogLine(from_log));
+    MOTTO_ASSIGN_OR_RETURN(JsonValue parsed, JsonValue::Parse(body));
     if (clear) std::printf("\x1b[H\x1b[2J");
-    RenderTop(*parsed);
+    RenderTop(parsed);
     std::fflush(stdout);
     if (remaining > 0 && shown + 1 >= remaining) break;
-    std::this_thread::sleep_for(std::chrono::duration<double>(*interval));
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(flags.Double("interval")));
   }
   return 0;
 }
 
-/// The crash-recovery differential loop behind `motto verify --recovery`
-/// (DESIGN.md §15): fuzzed (workload, stream, kill-plan) triples, each
-/// demanding a killed-and-recovered server emit exactly the uninterrupted
-/// multiset.
-int VerifyRecovery(const Args& args) {
-  verify::RecoveryDifferOptions options;
-  auto seed = args.GetInt("seed", 1);
-  if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
-  options.iterations = 40;
-  if (const char* env = std::getenv("MOTTO_RECOVERY_FUZZ_ITERS")) {
-    options.iterations = std::atoi(env);
-  }
-  auto iters = args.GetInt("iters", options.iterations);
-  if (!iters.ok()) return Fail(iters.status());
-  options.iterations = static_cast<int>(*iters);
-  auto fuzz_queries = args.GetInt("queries", options.fuzz.num_queries);
-  if (!fuzz_queries.ok()) return Fail(fuzz_queries.status());
-  options.fuzz.num_queries = static_cast<int>(*fuzz_queries);
-  auto fuzz_events = args.GetInt("events", options.fuzz.num_events);
-  if (!fuzz_events.ok()) return Fail(fuzz_events.status());
-  options.fuzz.num_events = static_cast<int>(*fuzz_events);
-  auto shards = GetPositive(args, "shards", options.shards);
-  if (!shards.ok()) return Fail(shards.status());
-  options.shards = static_cast<int>(*shards);
-  auto threads = GetPositive(args, "threads", options.threads);
-  if (!threads.ok()) return Fail(threads.status());
-  options.threads = static_cast<int>(*threads);
-  options.work_dir = args.Get("work-dir", "");
-
-  auto outcome = verify::RunRecoveryDiffer(options);
-  if (!outcome.ok()) return Fail(outcome.status());
-  std::printf(
-      "verify --recovery: %d cases (seed %llu..%llu, %d skipped), %llu kills "
-      "(torn-ckpt=%llu torn-out=%llu mid-ckpt=%llu), %zu failures\n",
-      outcome->iterations, static_cast<unsigned long long>(options.seed),
-      static_cast<unsigned long long>(
-          options.seed + static_cast<uint64_t>(options.iterations) - 1),
-      outcome->skipped, static_cast<unsigned long long>(outcome->kills),
-      static_cast<unsigned long long>(outcome->torn_checkpoints),
-      static_cast<unsigned long long>(outcome->torn_outputs),
-      static_cast<unsigned long long>(outcome->mid_checkpoint_faults),
-      outcome->failures.size());
-  for (const verify::RecoveryFailure& failure : outcome->failures) {
-    std::printf("\n-- failing case (seed %llu) --\n%s\n%s",
-                static_cast<unsigned long long>(failure.case_seed),
-                failure.detail.c_str(), failure.report.c_str());
-    std::printf("repro: motto verify --recovery --seed=%llu --iters=1\n",
-                static_cast<unsigned long long>(failure.case_seed));
-  }
-  return outcome->ok() ? 0 : 1;
-}
-
 /// Differential verification (DESIGN.md §10). Fuzz mode checks N seeded
 /// cases across every execution path; repro mode replays one dumped case.
-int Verify(const Args& args) {
-  if (args.Has("recovery")) return VerifyRecovery(args);
+Result<int> Verify(const FlagSet& flags) {
   verify::DifferOptions options;
-  auto seed = args.GetInt("seed", 1);
-  if (!seed.ok()) return Fail(seed.status());
-  options.seed = static_cast<uint64_t>(*seed);
-  auto iters = args.GetInt("iters", 100);
-  if (!iters.ok()) return Fail(iters.status());
-  options.iterations = static_cast<int>(*iters);
-  auto threads = args.GetInt("threads", 3);
-  if (!threads.ok()) return Fail(threads.status());
-  options.threads = static_cast<int>(*threads);
-  auto shards = GetPositive(args, "shards", 5);
-  if (!shards.ok()) return Fail(shards.status());
-  options.shards = static_cast<int>(*shards);
-  auto fuzz_queries = args.GetInt("queries", 3);
-  if (!fuzz_queries.ok()) return Fail(fuzz_queries.status());
-  options.fuzz.num_queries = static_cast<int>(*fuzz_queries);
-  auto fuzz_events = args.GetInt("events", 36);
-  if (!fuzz_events.ok()) return Fail(fuzz_events.status());
-  options.fuzz.num_events = static_cast<int>(*fuzz_events);
-  options.dump_dir = args.Get("dump", "");
+  options.seed = static_cast<uint64_t>(flags.Int("seed"));
+  options.iterations = static_cast<int>(flags.Int("iters"));
+  options.threads = static_cast<int>(flags.Int("threads"));
+  options.shards = static_cast<int>(flags.Int("shards"));
+  options.fuzz.num_queries = static_cast<int>(flags.Int("queries"));
+  options.fuzz.num_events = static_cast<int>(flags.Int("events"));
+  options.dump_dir = flags.String("dump");
 
-  std::string workload_path = args.Get("workload", "");
-  if (!workload_path.empty()) {
+  if (!flags.String("workload").empty()) {
     // Repro mode: re-check one concrete (workload, stream) pair.
     EventTypeRegistry registry;
-    auto queries = LoadWorkloadFile(workload_path, &registry);
-    if (!queries.ok()) return Fail(queries.status());
-    auto stream = LoadStreamCsv(args.Get("stream", "stream.csv"), &registry);
-    if (!stream.ok()) return Fail(stream.status());
-    auto report = verify::CheckCase(*queries, *stream, &registry, options);
-    if (!report.ok()) return Fail(report.status());
-    std::printf("%s", report->ToString().c_str());
-    return report->ok() ? 0 : 1;
+    MOTTO_ASSIGN_OR_RETURN(
+        std::vector<Query> queries,
+        LoadWorkloadFile(flags.String("workload"), &registry));
+    MOTTO_ASSIGN_OR_RETURN(EventStream stream,
+                           LoadStreamCsv(flags.String("stream"), &registry));
+    MOTTO_ASSIGN_OR_RETURN(
+        verify::CaseReport report,
+        verify::CheckCase(queries, stream, &registry, options));
+    std::printf("%s", report.ToString().c_str());
+    return report.ok() ? 0 : 1;
   }
 
-  auto outcome = verify::RunDiffer(options);
-  if (!outcome.ok()) return Fail(outcome.status());
+  MOTTO_ASSIGN_OR_RETURN(verify::DiffOutcome outcome,
+                         verify::RunDiffer(options));
   std::printf("verify: %d cases (seed %llu..%llu), %d skipped, %zu failures\n",
-              outcome->iterations,
+              outcome.iterations,
               static_cast<unsigned long long>(options.seed),
               static_cast<unsigned long long>(
                   options.seed +
                   static_cast<uint64_t>(options.iterations) - 1),
-              outcome->skipped, outcome->failures.size());
-  for (const verify::Failure& failure : outcome->failures) {
+              outcome.skipped, outcome.failures.size());
+  for (const verify::Failure& failure : outcome.failures) {
     std::printf("\n-- failing case (seed %llu) --\n%s-- workload --\n%s"
                 "-- repro --\n%s",
                 static_cast<unsigned long long>(failure.case_seed),
                 failure.report.c_str(), failure.workload_text.c_str(),
                 failure.repro.c_str());
   }
-  return outcome->ok() ? 0 : 1;
+  return outcome.ok() ? 0 : 1;
 }
 
+/// The crash-recovery differential loop behind `motto verify --recovery`
+/// (DESIGN.md §15): fuzzed (workload, stream, kill-plan) triples, each
+/// demanding a killed-and-recovered server emit exactly the uninterrupted
+/// multiset.
+Result<int> VerifyRecovery(const FlagSet& flags) {
+  verify::RecoveryDifferOptions options;
+  options.seed = static_cast<uint64_t>(flags.Int("seed"));
+  options.iterations = static_cast<int>(flags.Int("iters"));
+  options.fuzz.num_queries = static_cast<int>(flags.Int("queries"));
+  options.fuzz.num_events = static_cast<int>(flags.Int("events"));
+  options.shards = static_cast<int>(flags.Int("shards"));
+  options.threads = static_cast<int>(flags.Int("threads"));
+  options.work_dir = flags.String("work-dir");
+
+  MOTTO_ASSIGN_OR_RETURN(verify::RecoveryOutcome outcome,
+                         verify::RunRecoveryDiffer(options));
+  std::printf(
+      "verify --recovery: %d cases (seed %llu..%llu, %d skipped), %llu kills "
+      "(torn-ckpt=%llu torn-out=%llu mid-ckpt=%llu), %zu failures\n",
+      outcome.iterations, static_cast<unsigned long long>(options.seed),
+      static_cast<unsigned long long>(
+          options.seed + static_cast<uint64_t>(options.iterations) - 1),
+      outcome.skipped, static_cast<unsigned long long>(outcome.kills),
+      static_cast<unsigned long long>(outcome.torn_checkpoints),
+      static_cast<unsigned long long>(outcome.torn_outputs),
+      static_cast<unsigned long long>(outcome.mid_checkpoint_faults),
+      outcome.failures.size());
+  for (const verify::RecoveryFailure& failure : outcome.failures) {
+    std::printf("\n-- failing case (seed %llu) --\n%s\n%s",
+                static_cast<unsigned long long>(failure.case_seed),
+                failure.detail.c_str(), failure.report.c_str());
+    std::printf("repro: motto verify --recovery --seed=%llu --iters=1\n",
+                static_cast<unsigned long long>(failure.case_seed));
+  }
+  return outcome.ok() ? 0 : 1;
+}
+
+struct Command {
+  std::string name;
+  std::string summary;
+  Result<int> (*run)(const FlagSet&);
+  std::vector<FlagSpec> flags;
+};
+
+const verify::DifferOptions kDiffer;
+const verify::RecoveryDifferOptions kRecovery;
+
+/// Every command with its one flag table, which `motto <command> --help`
+/// prints.
+const std::vector<Command> kCommands = {
+    {"gen-stream", "Writes a synthetic event stream as CSV.", GenStream,
+     {kScenario,
+      {"events", kInt, "100000", kZero, "stream length"},
+      {"seed", kInt, "42", kNone, "generator seed"},
+      {"out", kString, "stream.csv", kNone, "output CSV"}}},
+    {"gen-workload", "Writes a synthetic CCL workload.", GenWorkload,
+     {kScenario,
+      {"queries", kInt, "100", kPositive, "number of queries"},
+      {"ratio", kDouble, "100", kZero, "basic workload ratio r, in %"},
+      {"seed", kInt, "7", kNone, "generator seed"},
+      {"nested_level", kInt, "2", kNone, "depth of nested queries"},
+      {"out", kString, "workload.ccl", kNone, "output CCL file"}}},
+    {"explain", "Prints the sharing graph, optimizer trace and plan.", Explain,
+     {kWorkload, kStream, kScenario, kMode, kCalibration,
+      {"solver", kString, "bnb", kNone, "bnb|sa"},
+      {"shards", kInt, "", kPositive, "show the partition over N shards"},
+      {"json", kOptional, "", kNone, "the plan as JSON, to stdout or FILE"},
+      {"dot", kOptional, "", kNone, "the plan as DOT, to stdout or FILE"}}},
+    {"run", "Plans --workload and replays --stream through the plan.", Run,
+     {kWorkload, kStream, kScenario, kMode, kCalibration, kEvalOrder, kShards,
+      kThreads, kMetricsOut,
+      {"stats", kOptional, "", kNone, "cost per plan node; =json for JSON"},
+      {"calibrate", kOptional, "", kNone, "cost per rewrite family; =json"},
+      {"trace", kString, "", kNone, "write a Chrome trace JSON to FILE"},
+      {"churn", kString, "", kNone, "apply a query add/remove script"}}},
+    {"compare", "Replays --stream under each optimizer mode, x NA.", Compare,
+     {kWorkload, kStream, kScenario, kCalibration, kEvalOrder, kShards,
+      kThreads,
+      {"runs", kInt, "3", kPositive, "measured replays per mode"},
+      {"reports", kSwitch, "", kNone, "print each mode's per-node report"}}},
+    {"verify",
+     "Checks fuzzed cases on every path against an oracle.\n"
+     "  `motto verify --recovery --help`: the crash-recovery differ.", Verify,
+     {{"seed", kInt, "1", kNone, "case i uses seed + i"},
+      {"iters", kInt, std::to_string(kDiffer.iterations), kPositive, "cases"},
+      {"queries", kInt, std::to_string(kDiffer.fuzz.num_queries), kPositive,
+       "queries per case"},
+      {"events", kInt, std::to_string(kDiffer.fuzz.num_events), kPositive,
+       "events per case"},
+      {"threads", kInt, std::to_string(kDiffer.threads), kPositive,
+       "threads of the pipelined path"},
+      {"shards", kInt, std::to_string(kDiffer.shards), kPositive,
+       "shards of the sharded path"},
+      {"dump", kString, "", kNone, "write failing cases to DIR"},
+      {"workload", kString, "", kNone, "check this one case instead"},
+      {"stream", kString, "stream.csv", kNone, "the stream of --workload"}}},
+    {"verify --recovery", "Kills and recovers serve on fuzzed cases.",
+     VerifyRecovery,
+     {{"seed", kInt, "1", kNone, "case i uses seed + i"},
+      {"iters", kInt, std::to_string(kRecovery.iterations), kPositive,
+       "cases", "MOTTO_RECOVERY_FUZZ_ITERS"},
+      {"queries", kInt, std::to_string(kRecovery.fuzz.num_queries),
+       kPositive, "queries per case"},
+      {"events", kInt, std::to_string(kRecovery.fuzz.num_events), kPositive,
+       "events per case"},
+      {"shards", kInt, std::to_string(kRecovery.shards), kPositive,
+       "shards of the sharded cross-check"},
+      {"threads", kInt, std::to_string(kRecovery.threads), kPositive,
+       "threads of the sharded cross-check"},
+      {"work-dir", kString, "", kNone, "case scratch root; default: temp"}}},
+    {"serve", "Ingests wire frames (stdin, or --listen) durably.", Serve,
+     {kWorkload, kStream, kScenario, kEvalOrder, kMetricsOut,
+      {"listen", kInt, "", kZero, "TCP port to read instead of stdin"},
+      {"checkpoint-dir", kString, "", kNone, "checkpoints; empty: not durable"},
+      {"checkpoint-interval", kInt, "10000", kZero, "events per checkpoint"},
+      {"out-dir", kString, "serve_out", kNone, "per-connection match files"},
+      {"ingest-queue", kInt, "4096", kPositive, "ingest queue capacity"},
+      {"admission", kString, "block", kNone, "on a full queue: block|shed"},
+      {"status-port", kInt, "", kZero, "port of /metrics /statusz /healthz"},
+      {"stats-log", kString, "", kNone, "append /statusz lines to FILE"},
+      {"snapshot-interval", kDouble, "1", kNone, "seconds; <= 0: no timer"},
+      {"snapshot-every", kInt, "0", kZero, "also every N events; 0: off"}}},
+    {"top", "Live view of a serve's --status-port or --stats-log.", Top,
+     {{"port", kInt, "0", kZero, "a serve --status-port to poll"},
+      {"from-log", kString, "", kNone, "a serve --stats-log to read instead"},
+      {"interval", kDouble, "2", kPositive, "seconds between frames"},
+      {"iterations", kInt, "0", kZero, "stop after N frames; 0: never"},
+      {"once", kSwitch, "", kNone, "show one frame"},
+      {"no-clear", kSwitch, "", kNone, "do not clear the screen"}}},
+    {"wire-encode", "Encodes a CSV stream as serve's wire frames.", WireEncode,
+     {{"stream", kString, "stream.csv", kNone, "events CSV to encode"},
+      {"out", kString, "stream.bin", kNone, "output file"},
+      {"skip", kInt, "0", kZero, "leave out the first N events"},
+      {"limit", kInt, "0", kZero, "encode at most N events; 0 = all"},
+      {"checkpoint-every", kInt, "0", kZero, "checkpoint request every N"},
+      {"no-end", kSwitch, "", kNone, "leave out the end-of-stream frame"}}},
+};
+
 int Main(int argc, char** argv) {
-  if (argc < 2) {
+  std::string name = argc >= 2 ? argv[1] : "";
+  std::vector<std::string> args(argv + std::min(argc, 2), argv + argc);
+  // `verify --recovery` is a command of its own, with its own flags.
+  auto recovery = std::find(args.begin(), args.end(), "--recovery");
+  if (name == "verify" && recovery != args.end()) {
+    name = "verify --recovery";
+    args.erase(recovery);
+  }
+  auto command = std::find_if(kCommands.begin(), kCommands.end(),
+                              [&](const Command& c) { return c.name == name; });
+  if (command == kCommands.end()) {
+    if (!name.empty()) {
+      std::fprintf(stderr, "unknown command '%s'\n", name.c_str());
+    }
+    std::string names;
+    for (const Command& c : kCommands) {
+      if (c.name.find(' ') == std::string::npos) names += "|" + c.name;
+    }
     std::fprintf(stderr,
-                 "usage: motto "
-                 "<gen-stream|gen-workload|explain|run|compare|verify|"
-                 "serve|top|wire-encode> [--key=value ...]\n");
+                 "usage: motto <%s> [--flag=value ...]\n"
+                 "`motto <command> --help` lists a command's flags.\n",
+                 names.substr(1).c_str());
     return 2;
   }
-  Args args(argc, argv);
-  std::string command = argv[1];
-  if (command == "gen-stream") return GenStream(args);
-  if (command == "gen-workload") return GenWorkload(args);
-  if (command == "explain") return Explain(args);
-  if (command == "run") return RunWorkload(args);
-  if (command == "compare") return Compare(args);
-  if (command == "verify") return Verify(args);
-  if (command == "serve") return Serve(args);
-  if (command == "top") return Top(args);
-  if (command == "wire-encode") return WireEncode(args);
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 2;
+  FlagSet flags("usage: motto " + command->name + " [flags]\n  " +
+                    command->summary,
+                command->flags);
+  Status status = flags.Parse(args);
+  if (status.ok() && flags.help_requested()) {
+    std::printf("%s", flags.Usage().c_str());
+    return 0;
+  }
+  Result<int> exit_code = status.ok() ? command->run(flags) : status;
+  if (exit_code.ok()) return *exit_code;
+  std::fprintf(stderr, "error: %s\n", exit_code.status().ToString().c_str());
+  return 1;
 }
 
 }  // namespace
