@@ -1,9 +1,7 @@
 #include "verify/churn_differ.h"
 
 #include <algorithm>
-#include <iterator>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "common/rng.h"
@@ -11,29 +9,9 @@
 #include "engine/sharded_executor.h"
 #include "event/event.h"
 #include "motto/optimizer.h"
-#include "workload/io.h"
 
 namespace motto::verify {
 namespace {
-
-void Diff(const std::string& path, const std::string& query,
-          const MatchSet& oracle, const MatchSet& got,
-          std::vector<Mismatch>* out) {
-  if (oracle == got) return;
-  Mismatch m;
-  m.query = query;
-  m.path = path;
-  m.oracle_count = oracle.size();
-  m.path_count = got.size();
-  constexpr size_t kSampleCap = 4;
-  std::set_difference(oracle.begin(), oracle.end(), got.begin(), got.end(),
-                      std::back_inserter(m.missing));
-  std::set_difference(got.begin(), got.end(), oracle.begin(), oracle.end(),
-                      std::back_inserter(m.extra));
-  if (m.missing.size() > kSampleCap) m.missing.resize(kSampleCap);
-  if (m.extra.size() > kSampleCap) m.extra.resize(kSampleCap);
-  out->push_back(std::move(m));
-}
 
 /// Stream slice a query compiled from scratch must see: every event whose
 /// timestamp falls in the query's live window [ta, tr).
@@ -51,16 +29,20 @@ EventStream LiveSlice(const EventStream& stream, Timestamp ta, Timestamp tr) {
   return EventStream(lo, hi);
 }
 
-/// Keeps only matches a live run could have emitted before the query's
-/// removal: a negation-deferred root seals a match at begin + window, so
-/// anything sealed at or after tr is dropped; immediate roots seal on
-/// completion, which the slice already bounds.
-MatchSet SealedMatches(const std::vector<Event>* events, bool deferred,
-                       Duration window, Timestamp tr) {
+/// The matches of `query` in `run` that a live run could have emitted
+/// before the query's removal at `tr`: a negation-deferred root seals a
+/// match at begin + window, so anything sealed at or after tr is dropped;
+/// immediate roots seal on completion, which the slice already bounds.
+MatchSet SealedMatches(const RunResult& run, const Query& query,
+                       Timestamp tr) {
   MatchSet set;
-  if (events == nullptr) return set;
-  for (const Event& e : *events) {
-    if (tr != kNeverRemoved && deferred && e.begin() + window >= tr) continue;
+  auto it = run.sink_events.find(query.name);
+  if (it == run.sink_events.end()) return set;
+  const bool deferred = !query.pattern.negated().empty();
+  for (const Event& e : it->second) {
+    if (tr != kNeverRemoved && deferred && e.begin() + query.window >= tr) {
+      continue;
+    }
     set.insert(e.Fingerprint());
   }
   return set;
@@ -108,37 +90,26 @@ Result<CaseReport> CheckChurnCase(const std::vector<Query>& initial,
     Optimizer optimizer(registry, stats, na);
     MOTTO_ASSIGN_OR_RETURN(OptimizeOutcome outcome,
                            optimizer.Optimize({query}));
-    const bool deferred = !query.pattern.negated().empty();
-
     Jqp sharded_jqp = outcome.jqp;
     MOTTO_ASSIGN_OR_RETURN(Executor executor,
                            Executor::Create(std::move(outcome.jqp)));
     MOTTO_ASSIGN_OR_RETURN(RunResult run, executor.Run(slice));
-    auto sink = run.sink_events.find(name);
-    MatchSet set = SealedMatches(
-        sink == run.sink_events.end() ? nullptr : &sink->second, deferred,
-        query.window, tr);
-
     MOTTO_ASSIGN_OR_RETURN(
         ShardedExecutor sharded,
-        ShardedExecutor::Create(std::move(sharded_jqp), options.shards,
-                                options.shard_threads));
+        ShardedExecutor::Create(std::move(sharded_jqp), /*num_shards=*/5,
+                                /*num_threads=*/2));
     MOTTO_ASSIGN_OR_RETURN(RunResult sharded_run, sharded.Run(slice));
-    auto sharded_sink = sharded_run.sink_events.find(name);
-    MatchSet sharded_set = SealedMatches(
-        sharded_sink == sharded_run.sink_events.end() ? nullptr
-                                                      : &sharded_sink->second,
-        deferred, query.window, tr);
-    Diff("oracle-sharded", name, set, sharded_set, &report.mismatches);
-    oracle[name] = std::move(set);
+    oracle[name] = SealedMatches(run, query, tr);
+    report.Diff("oracle-sharded", name, oracle[name],
+                SealedMatches(sharded_run, query, tr));
   }
 
   // The live churn path, in both evaluation-order modes.
   OptimizerOptions churn_options;
   churn_options.mode = OptimizerMode::kMotto;
   churn_options.planner.seed = options.seed;
-  churn_options.planner.exact_budget_seconds = options.exact_budget_seconds;
-  churn_options.planner.sa_iterations = options.sa_iterations;
+  churn_options.planner.exact_budget_seconds = 0.5;
+  churn_options.planner.sa_iterations = 600;
   for (EvalOrderMode mode :
        {EvalOrderMode::kArrival, EvalOrderMode::kSelectivity}) {
     ChurnRunOptions run_options;
@@ -148,43 +119,32 @@ Result<CaseReport> CheckChurnCase(const std::vector<Query>& initial,
                                     churn_options, run_options));
     const char* path = mode == EvalOrderMode::kArrival ? "churn-arrival"
                                                        : "churn-lazy";
+    std::map<std::string, MatchSet> live = SinkMatches(outcome.result);
     for (const auto& [name, query] : queries) {
-      MatchSet got;
-      auto it = outcome.result.sink_events.find(name);
-      if (it != outcome.result.sink_events.end()) {
-        for (const Event& e : it->second) got.insert(e.Fingerprint());
-      }
-      Diff(path, name, oracle[name], got, &report.mismatches);
+      report.Diff(path, name, oracle[name], live[name]);
     }
   }
   return report;
 }
 
-Result<ChurnDiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options) {
-  ChurnDiffOutcome outcome;
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    const uint64_t case_seed = options.seed + static_cast<uint64_t>(iter);
-    EventTypeRegistry registry;
-    QueryFuzzer fuzzer(&registry, options.fuzz, case_seed);
-    FuzzCase base = fuzzer.Next();
-    ++outcome.iterations;
-    if (base.stream.size() < 8 ||
-        base.stream.back().begin() <= base.stream.front().begin()) {
-      ++outcome.skipped;
-      continue;
+Result<DiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options) {
+  auto derive = [&options](uint64_t case_seed, int, QueryFuzzer* fuzzer,
+                           DiffCase* c) {
+    const EventStream& stream = c->stream;
+    if (stream.size() < 8 || stream.back().begin() <= stream.front().begin()) {
+      return false;
     }
-
     // A deterministic script spanning the stream: all adds first (fresh
     // names "c<i>"), then removals of both initial and added queries, each
     // command at its own interior boundary.
     std::vector<Query> added;
     for (int i = 0; i < options.added_queries; ++i) {
-      added.push_back(fuzzer.NextQuery("c" + std::to_string(i)));
+      added.push_back(fuzzer->NextQuery("c" + std::to_string(i)));
     }
     std::vector<std::string> removable;
-    for (size_t i = 0; i < std::max(base.queries.size(), added.size()); ++i) {
+    for (size_t i = 0; i < std::max(c->queries.size(), added.size()); ++i) {
       if (i < added.size()) removable.push_back(added[i].name);
-      if (i < base.queries.size()) removable.push_back(base.queries[i].name);
+      if (i < c->queries.size()) removable.push_back(c->queries[i].name);
     }
     Rng rng(case_seed * 0x9e3779b97f4a7c15ull + 1);
     rng.Shuffle(removable);
@@ -192,14 +152,9 @@ Result<ChurnDiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options) {
                                      static_cast<size_t>(std::max(
                                          0, options.removals)));
     const size_t total = added.size() + removals;
-    if (total == 0) {
-      ++outcome.skipped;
-      continue;
-    }
-    const Timestamp lo = base.stream.front().begin();
-    const Timestamp hi = base.stream.back().begin();
-    ChurnScript script;
-    size_t slot = 0;
+    if (total == 0) return false;
+    const Timestamp lo = stream.front().begin();
+    const Timestamp hi = stream.back().begin();
     auto boundary = [&](size_t j) {
       return lo + 1 +
              static_cast<Timestamp>((static_cast<int64_t>(hi - lo) *
@@ -207,41 +162,21 @@ Result<ChurnDiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options) {
                                     static_cast<int64_t>(total + 1));
     };
     for (const Query& query : added) {
-      ChurnCommand cmd;
-      cmd.ts = boundary(slot++);
-      cmd.add = true;
-      cmd.name = query.name;
-      cmd.query = query;
-      script.commands.push_back(std::move(cmd));
+      c->script.commands.push_back(
+          {boundary(c->script.commands.size()), true, query.name, query});
     }
     for (size_t r = 0; r < removals; ++r) {
-      ChurnCommand cmd;
-      cmd.ts = boundary(slot++);
-      cmd.add = false;
-      cmd.name = removable[r];
-      script.commands.push_back(std::move(cmd));
+      c->script.commands.push_back(
+          {boundary(c->script.commands.size()), false, removable[r], {}});
     }
-
-    MOTTO_ASSIGN_OR_RETURN(
-        CaseReport report,
-        CheckChurnCase(base.queries, script, base.stream, &registry, options));
-    if (report.ok()) continue;
-
-    std::string failure = "case seed " + std::to_string(case_seed) + ":\n" +
-                          report.ToString() + "workload:\n" +
-                          WorkloadToText(base.queries, registry) + "script:\n";
-    for (const ChurnCommand& cmd : script.commands) {
-      failure += std::to_string(cmd.ts);
-      if (cmd.add) {
-        failure += " add " +
-                   WorkloadToText({cmd.query}, registry);  // "name: ...\n"
-      } else {
-        failure += " remove " + cmd.name + "\n";
-      }
-    }
-    outcome.failures.push_back(std::move(failure));
-  }
-  return outcome;
+    return true;
+  };
+  return RunCases(
+      options.seed, options.iterations, options.fuzz, derive,
+      [&options](const DiffCase& c, EventTypeRegistry* registry) {
+        return CheckChurnCase(c.queries, c.script, c.stream, registry,
+                              options);
+      });
 }
 
 }  // namespace motto::verify

@@ -24,12 +24,6 @@ struct ChurnDifferOptions {
   int added_queries = 2;
   /// Queries removed mid-stream per case (drawn from initial and added).
   int removals = 2;
-  /// Shard count for the sharded oracle path.
-  int shards = 5;
-  int shard_threads = 2;
-  /// Planner settings for the churn run's incremental re-solves.
-  double exact_budget_seconds = 0.5;
-  int sa_iterations = 600;
 };
 
 /// Migration-equivalence check of one (initial workload, churn script,
@@ -48,20 +42,10 @@ Result<CaseReport> CheckChurnCase(const std::vector<Query>& initial,
                                   EventTypeRegistry* registry,
                                   const ChurnDifferOptions& options);
 
-struct ChurnDiffOutcome {
-  int iterations = 0;
-  /// Cases skipped because the fuzzed stream was too short to schedule the
-  /// script inside it.
-  int skipped = 0;
-  /// One human-readable report per failing case (with its seed).
-  std::vector<std::string> failures;
-  bool ok() const { return failures.empty(); }
-};
-
-/// The churn fuzz loop: per iteration, fuzzes an initial workload + stream,
-/// derives a deterministic add/remove script spanning the stream, and runs
-/// CheckChurnCase.
-Result<ChurnDiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options);
+/// The churn differ: RunCases over CheckChurnCase, where each case adds to
+/// its fuzzed workload and stream a deterministic add/remove script
+/// spanning the stream (a stream too short to schedule it is skipped).
+Result<DiffOutcome> RunChurnDiffer(const ChurnDifferOptions& options);
 
 }  // namespace motto::verify
 

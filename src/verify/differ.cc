@@ -1,12 +1,10 @@
 #include "verify/differ.h"
 
 #include <algorithm>
+#include <fstream>
 #include <iterator>
-#include <map>
-#include <set>
 #include <utility>
 
-#include "engine/executor.h"
 #include "engine/parallel_executor.h"
 #include "engine/sharded_executor.h"
 #include "event/event.h"
@@ -17,21 +15,6 @@ namespace motto::verify {
 namespace {
 
 using PathMatches = std::map<std::string, MatchSet>;
-
-/// Reduces one executor run to per-user-query fingerprint multisets. NA
-/// plans also register sinks for inner "name#inN" sub-queries; only the
-/// user-facing names are compared.
-PathMatches SinkMatches(const RunResult& run,
-                        const std::vector<Query>& queries) {
-  PathMatches out;
-  for (const Query& query : queries) {
-    MatchSet& set = out[query.name];
-    auto it = run.sink_events.find(query.name);
-    if (it == run.sink_events.end()) continue;
-    for (const Event& e : it->second) set.insert(e.Fingerprint());
-  }
-  return out;
-}
 
 Result<RunResult> RunJqp(const Jqp& jqp, const EventStream& stream,
                          EvalOrderMode eval_order = EvalOrderMode::kArrival) {
@@ -44,39 +27,82 @@ Result<RunResult> RunJqp(const Jqp& jqp, const EventStream& stream,
 Result<OptimizeOutcome> OptimizePlan(const std::vector<Query>& queries,
                                      EventTypeRegistry* registry,
                                      const StreamStats& stats,
-                                     OptimizerMode mode,
-                                     const DifferOptions& options,
+                                     OptimizerMode mode, uint64_t seed,
                                      bool approximate) {
   OptimizerOptions opt;
   opt.mode = mode;
-  opt.planner.seed = options.seed;
-  opt.planner.exact_budget_seconds = options.exact_budget_seconds;
-  opt.planner.sa_iterations = options.sa_iterations;
+  opt.planner.seed = seed;
+  // Fuzz workloads have a few queries: B&B finishes well inside its
+  // budget, and a short anneal still explores other sharing choices.
+  opt.planner.exact_budget_seconds = 2.0;
+  opt.planner.sa_iterations = 600;
   opt.planner.force_approximate = approximate;
   Optimizer optimizer(registry, stats, opt);
   return optimizer.Optimize(queries);
 }
 
-void Diff(const std::string& path, const std::string& query,
-          const MatchSet& oracle, const MatchSet& got,
-          std::vector<Mismatch>* out) {
-  if (oracle == got) return;
-  Mismatch m;
-  m.query = query;
-  m.path = path;
-  m.oracle_count = oracle.size();
-  m.path_count = got.size();
-  constexpr size_t kSampleCap = 4;
-  std::set_difference(oracle.begin(), oracle.end(), got.begin(), got.end(),
-                      std::back_inserter(m.missing));
-  std::set_difference(got.begin(), got.end(), oracle.begin(), oracle.end(),
-                      std::back_inserter(m.extra));
-  if (m.missing.size() > kSampleCap) m.missing.resize(kSampleCap);
-  if (m.extra.size() > kSampleCap) m.extra.resize(kSampleCap);
-  out->push_back(std::move(m));
+/// The kill plan as an initializer of `RecoveryCaseSpec` (without the
+/// scratch directory).
+std::string KillPlanText(const RecoveryCaseSpec& spec) {
+  static constexpr const char* kKinds[] = {"kPlain", "kTornCheckpoint",
+                                           "kTornOutput", "kMidCheckpoint"};
+  std::string out = "{.kills = {";
+  for (size_t k = 0; k < spec.kills.size(); ++k) {
+    out += std::string(k > 0 ? ",\n            " : "") +
+           "{.after_events = " + std::to_string(spec.kills[k].after_events) +
+           ", .kind = RecoveryKill::Kind::" +
+           kKinds[static_cast<int>(spec.kills[k].kind)] + "}";
+  }
+  return out + "},\n .eval_order = EvalOrderMode::" +
+         (spec.eval_order == EvalOrderMode::kArrival ? "kArrival"
+                                                     : "kSelectivity") +
+         ",\n .checkpoint_interval = " +
+         std::to_string(spec.checkpoint_interval) +
+         ", .shards = " + std::to_string(spec.shards) +
+         ", .threads = " + std::to_string(spec.threads) +
+         ",\n .frame_seed = " + std::to_string(spec.frame_seed) + "}\n";
+}
+
+/// Erases the elements of the vector `items` selects from `*c` one at a
+/// time while more than `floor` remain, keeping each erasure after which
+/// the case still fails. Goes back to front, so a script command is tried
+/// before the earlier one it may depend on (a remove before its add).
+/// Returns whether anything was erased.
+template <typename Items>
+bool DropEach(DiffCase* c, size_t floor, Items items,
+              const std::function<bool(const DiffCase&)>& still_fails) {
+  bool dropped = false;
+  for (size_t i = items(*c).size(); i-- > 0 && items(*c).size() > floor;) {
+    DiffCase candidate = *c;
+    items(candidate).erase(items(candidate).begin() +
+                           static_cast<ptrdiff_t>(i));
+    if (still_fails(candidate)) {
+      *c = std::move(candidate);
+      dropped = true;
+    }
+  }
+  return dropped;
 }
 
 }  // namespace
+
+void CaseReport::Diff(const std::string& path, const std::string& query,
+                      const MatchSet& expected, const MatchSet& got) {
+  if (expected == got) return;
+  Mismatch m;
+  m.query = query;
+  m.path = path;
+  m.oracle_count = expected.size();
+  m.path_count = got.size();
+  constexpr size_t kSampleCap = 4;
+  std::set_difference(expected.begin(), expected.end(), got.begin(),
+                      got.end(), std::back_inserter(m.missing));
+  std::set_difference(got.begin(), got.end(), expected.begin(),
+                      expected.end(), std::back_inserter(m.extra));
+  if (m.missing.size() > kSampleCap) m.missing.resize(kSampleCap);
+  if (m.extra.size() > kSampleCap) m.extra.resize(kSampleCap);
+  mismatches.push_back(std::move(m));
+}
 
 std::string CaseReport::ToString() const {
   if (mismatches.empty()) return "all paths agree\n";
@@ -91,14 +117,32 @@ std::string CaseReport::ToString() const {
   return out;
 }
 
+std::map<std::string, MatchSet> SinkMatches(const RunResult& run) {
+  std::map<std::string, MatchSet> sets;
+  for (const auto& [sink, events] : run.sink_events) {
+    MatchSet& set = sets[sink];
+    for (const Event& e : events) set.insert(e.Fingerprint());
+  }
+  return sets;
+}
+
+std::string Failure::ToString() const {
+  std::string out = "-- failing case (seed " + std::to_string(case_seed) +
+                    ") --\n" + report + "-- workload --\n" + workload_text +
+                    "-- stream --\n" + stream_csv;
+  if (!script.empty()) out += "-- script --\n" + script;
+  if (!kill_plan.empty()) out += "-- kill plan --\n" + kill_plan;
+  if (!repro.empty()) out += "-- repro --\n" + repro;
+  return out;
+}
+
 Result<CaseReport> CheckCase(const std::vector<Query>& queries,
                              const EventStream& stream,
                              EventTypeRegistry* registry,
                              const DifferOptions& options) {
   PathMatches oracle;
   for (const Query& query : queries) {
-    MOTTO_ASSIGN_OR_RETURN(oracle[query.name],
-                           OracleMatches(query, stream, options.oracle));
+    MOTTO_ASSIGN_OR_RETURN(oracle[query.name], OracleMatches(query, stream));
   }
   StreamStats stats = ComputeStats(stream);
 
@@ -111,11 +155,10 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
     for (const Query& query : queries) {
       MOTTO_ASSIGN_OR_RETURN(
           OptimizeOutcome outcome,
-          OptimizePlan({query}, registry, stats, OptimizerMode::kNa, options,
-                       /*approximate=*/false));
+          OptimizePlan({query}, registry, stats, OptimizerMode::kNa,
+                       options.seed, /*approximate=*/false));
       MOTTO_ASSIGN_OR_RETURN(RunResult run, RunJqp(outcome.jqp, stream));
-      PathMatches one = SinkMatches(run, {query});
-      matches[query.name] = std::move(one[query.name]);
+      matches[query.name] = std::move(SinkMatches(run)[query.name]);
     }
     paths.emplace_back("matcher", std::move(matches));
   }
@@ -124,10 +167,10 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
   {
     MOTTO_ASSIGN_OR_RETURN(
         OptimizeOutcome outcome,
-        OptimizePlan(queries, registry, stats, OptimizerMode::kNa, options,
-                     /*approximate=*/false));
+        OptimizePlan(queries, registry, stats, OptimizerMode::kNa,
+                     options.seed, /*approximate=*/false));
     MOTTO_ASSIGN_OR_RETURN(RunResult run, RunJqp(outcome.jqp, stream));
-    paths.emplace_back("unshared", SinkMatches(run, queries));
+    paths.emplace_back("unshared", SinkMatches(run));
 
     // Path "unshared-lazy": the same chains with every eligible node
     // evaluated in its planner-chosen selectivity order — the minimal
@@ -135,20 +178,20 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
     MOTTO_ASSIGN_OR_RETURN(
         RunResult lazy_run,
         RunJqp(outcome.jqp, stream, EvalOrderMode::kSelectivity));
-    paths.emplace_back("unshared-lazy", SinkMatches(lazy_run, queries));
+    paths.emplace_back("unshared-lazy", SinkMatches(lazy_run));
   }
 
   // Paths "motto-bnb" / "motto-par": the fully optimized JQP from the exact
   // branch-and-bound solve, single-threaded and through the pipelined
-  // parallel executor (tiny batches so fuzz streams cross many batch
+  // parallel executor (7-event batches so fuzz streams cross many batch
   // boundaries).
   {
     MOTTO_ASSIGN_OR_RETURN(
         OptimizeOutcome outcome,
-        OptimizePlan(queries, registry, stats, OptimizerMode::kMotto, options,
-                     /*approximate=*/false));
+        OptimizePlan(queries, registry, stats, OptimizerMode::kMotto,
+                     options.seed, /*approximate=*/false));
     MOTTO_ASSIGN_OR_RETURN(RunResult run, RunJqp(outcome.jqp, stream));
-    paths.emplace_back("motto-bnb", SinkMatches(run, queries));
+    paths.emplace_back("motto-bnb", SinkMatches(run));
 
     // Path "motto-lazy": the same fully rewritten plan in selectivity
     // order. Lazy buffering must survive composite operands, merge nodes
@@ -156,14 +199,14 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
     MOTTO_ASSIGN_OR_RETURN(
         RunResult lazy_run,
         RunJqp(outcome.jqp, stream, EvalOrderMode::kSelectivity));
-    paths.emplace_back("motto-lazy", SinkMatches(lazy_run, queries));
+    paths.emplace_back("motto-lazy", SinkMatches(lazy_run));
 
     MOTTO_ASSIGN_OR_RETURN(
         ParallelExecutor parallel,
         ParallelExecutor::Create(outcome.jqp, options.threads,
-                                 options.batch_size, /*pipe_depth=*/2));
+                                 /*batch_size=*/7, /*pipe_depth=*/2));
     MOTTO_ASSIGN_OR_RETURN(RunResult parallel_run, parallel.Run(stream));
-    paths.emplace_back("motto-par", SinkMatches(parallel_run, queries));
+    paths.emplace_back("motto-par", SinkMatches(parallel_run));
 
     // Path "motto-shard": the same exact JQP through the sharded
     // data-parallel executor. More shards than the plan has components
@@ -174,7 +217,7 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
         ShardedExecutor::Create(outcome.jqp, options.shards,
                                 /*num_threads=*/2));
     MOTTO_ASSIGN_OR_RETURN(RunResult sharded_run, sharded.Run(stream));
-    paths.emplace_back("motto-shard", SinkMatches(sharded_run, queries));
+    paths.emplace_back("motto-shard", SinkMatches(sharded_run));
   }
 
   // Path "motto-sa": the plan the simulated-annealing solver picks. Its
@@ -182,74 +225,82 @@ Result<CaseReport> CheckCase(const std::vector<Query>& queries,
   {
     MOTTO_ASSIGN_OR_RETURN(
         OptimizeOutcome outcome,
-        OptimizePlan(queries, registry, stats, OptimizerMode::kMotto, options,
-                     /*approximate=*/true));
+        OptimizePlan(queries, registry, stats, OptimizerMode::kMotto,
+                     options.seed, /*approximate=*/true));
     MOTTO_ASSIGN_OR_RETURN(RunResult run, RunJqp(outcome.jqp, stream));
-    paths.emplace_back("motto-sa", SinkMatches(run, queries));
+    paths.emplace_back("motto-sa", SinkMatches(run));
   }
 
   CaseReport report;
   for (const Query& query : queries) {
-    for (const auto& [name, matches] : paths) {
-      auto it = matches.find(query.name);
-      static const MatchSet kEmpty;
-      Diff(name, query.name, oracle[query.name],
-           it == matches.end() ? kEmpty : it->second, &report.mismatches);
+    for (auto& [name, matches] : paths) {
+      report.Diff(name, query.name, oracle[query.name], matches[query.name]);
     }
   }
   return report;
 }
 
-namespace {
+int ShrinkCase(DiffCase* c, EventTypeRegistry* registry,
+               const CaseCheck& check) {
+  constexpr int kMaxChecks = 400;
+  int checks = 0;
+  // A check error (e.g. the oracle budget) counts as "no longer failing",
+  // so shrinking never walks into cases that cannot be evaluated.
+  auto still_fails = [&](const DiffCase& candidate) {
+    if (checks >= kMaxChecks) return false;
+    ++checks;
+    Result<CaseReport> report = check(candidate, registry);
+    return report.ok() && !report->ok();
+  };
 
-/// True when the case still fails (mismatch). Check errors — including
-/// oracle budget exhaustion — conservatively count as "no longer failing"
-/// so shrinking never walks into unevaluatable territory.
-bool StillFails(const std::vector<Query>& queries, const EventStream& stream,
-                EventTypeRegistry* registry, const DifferOptions& options,
-                int* checks_left) {
-  if (*checks_left <= 0) return false;
-  --*checks_left;
-  auto report = CheckCase(queries, stream, registry, options);
-  return report.ok() && !report->ok();
-}
-
-}  // namespace
-
-int ShrinkCase(std::vector<Query>* queries, EventStream* stream,
-               EventTypeRegistry* registry, const DifferOptions& options) {
-  int checks_left = options.max_shrink_checks;
-  const int total = checks_left;
-
-  // Drop whole queries first: fewer queries shrink every later re-check.
-  for (size_t i = 0; i < queries->size() && queries->size() > 1;) {
-    std::vector<Query> candidate = *queries;
-    candidate.erase(candidate.begin() + static_cast<ptrdiff_t>(i));
-    if (StillFails(candidate, *stream, registry, options, &checks_left)) {
-      *queries = std::move(candidate);
-    } else {
-      ++i;
+  // Whole queries, script commands and kills first, fewer queries making
+  // every later check cheaper; then the smallest checkpoint interval of
+  // 1, 2, 4, ... that still fails, which moves each kill's resume point
+  // nearer the kill. Repeat until nothing changes: dropping a remove
+  // command can free the query it removed.
+  for (bool changed = true; changed;) {
+    changed = DropEach(
+        c, 1, [](DiffCase& d) -> auto& { return d.queries; }, still_fails);
+    changed |= DropEach(
+        c, 0, [](DiffCase& d) -> auto& { return d.script.commands; },
+        still_fails);
+    if (!c->recovery) continue;
+    changed |= DropEach(
+        c, 0, [](DiffCase& d) -> auto& { return d.recovery->kills; },
+        still_fails);
+    for (uint64_t interval = 1; interval < c->recovery->checkpoint_interval;
+         interval *= 2) {
+      DiffCase candidate = *c;
+      candidate.recovery->checkpoint_interval = interval;
+      if (still_fails(candidate)) {
+        *c = std::move(candidate);
+        changed = true;
+        break;
+      }
     }
   }
 
   // ddmin on the stream: remove contiguous chunks, halving the chunk size
   // when a pass removes nothing (removal keeps the stream sorted, so
-  // candidates stay valid).
-  size_t chunk = std::max<size_t>(1, stream->size() / 2);
-  while (checks_left > 0) {
+  // candidates stay valid). A kill stays after the same surviving event.
+  size_t chunk = std::max<size_t>(1, c->stream.size() / 2);
+  while (checks < kMaxChecks) {
     bool removed = false;
-    for (size_t start = 0; start < stream->size() && checks_left > 0;) {
-      EventStream candidate;
-      candidate.reserve(stream->size());
-      size_t stop = std::min(stream->size(), start + chunk);
-      candidate.insert(candidate.end(), stream->begin(),
-                       stream->begin() + static_cast<ptrdiff_t>(start));
-      candidate.insert(candidate.end(),
-                       stream->begin() + static_cast<ptrdiff_t>(stop),
-                       stream->end());
-      if (!candidate.empty() &&
-          StillFails(*queries, candidate, registry, options, &checks_left)) {
-        *stream = std::move(candidate);
+    for (size_t start = 0; start < c->stream.size() && checks < kMaxChecks;) {
+      const size_t stop = std::min(c->stream.size(), start + chunk);
+      DiffCase candidate = *c;
+      candidate.stream.erase(
+          candidate.stream.begin() + static_cast<ptrdiff_t>(start),
+          candidate.stream.begin() + static_cast<ptrdiff_t>(stop));
+      if (candidate.recovery) {
+        for (RecoveryKill& kill : candidate.recovery->kills) {
+          if (kill.after_events <= start) continue;
+          kill.after_events -= std::min<uint64_t>(kill.after_events, stop) -
+                               start;
+        }
+      }
+      if (!candidate.stream.empty() && still_fails(candidate)) {
+        *c = std::move(candidate);
         removed = true;
       } else {
         start += chunk;
@@ -260,20 +311,26 @@ int ShrinkCase(std::vector<Query>* queries, EventStream* stream,
       chunk = std::max<size_t>(1, chunk / 2);
     }
   }
-  return total - checks_left;
+  return checks;
 }
 
-Result<DiffOutcome> RunDiffer(const DifferOptions& options) {
+Result<DiffOutcome> RunCases(uint64_t seed, int iterations,
+                             const FuzzOptions& fuzz,
+                             const CaseDerivation& derive,
+                             const CaseCheck& check) {
   DiffOutcome outcome;
-  for (int i = 0; i < options.iterations; ++i) {
-    uint64_t case_seed = options.seed + static_cast<uint64_t>(i);
+  for (int i = 0; i < iterations; ++i) {
+    const uint64_t case_seed = seed + static_cast<uint64_t>(i);
     EventTypeRegistry registry;
-    QueryFuzzer fuzzer(&registry, options.fuzz, case_seed);
-    FuzzCase fuzz_case = fuzzer.Next();
+    QueryFuzzer fuzzer(&registry, fuzz, case_seed);
+    DiffCase c{fuzzer.Next(), {}, {}};
     ++outcome.iterations;
+    if (derive && !derive(case_seed, i, &fuzzer, &c)) {
+      ++outcome.skipped;
+      continue;
+    }
 
-    auto report = CheckCase(fuzz_case.queries, fuzz_case.stream, &registry,
-                            options);
+    Result<CaseReport> report = check(c, &registry);
     if (!report.ok()) {
       if (report.status().code() == StatusCode::kOutOfRange) {
         ++outcome.skipped;
@@ -283,34 +340,58 @@ Result<DiffOutcome> RunDiffer(const DifferOptions& options) {
                     "case seed " + std::to_string(case_seed) + ": " +
                         report.status().message());
     }
+    if (c.recovery) {
+      for (const RecoveryKill& kill : c.recovery->kills) {
+        ++outcome.kills[kill.kind];
+      }
+    }
     if (report->ok()) continue;
 
-    if (options.shrink) {
-      ShrinkCase(&fuzz_case.queries, &fuzz_case.stream, &registry, options);
-      // Re-derive the report for the minimized case (shrinking preserves
-      // "some mismatch", not the specific one).
-      auto minimized = CheckCase(fuzz_case.queries, fuzz_case.stream,
-                                 &registry, options);
-      if (minimized.ok() && !minimized->ok()) report = std::move(minimized);
-    }
+    ShrinkCase(&c, &registry, check);
+    // Re-derive the report for the minimized case (shrinking preserves
+    // "some mismatch", not the specific one).
+    Result<CaseReport> minimized = check(c, &registry);
+    if (minimized.ok() && !minimized->ok()) report = std::move(minimized);
 
     Failure failure;
     failure.case_seed = case_seed;
-    failure.workload_text = WorkloadToText(fuzz_case.queries, registry);
-    failure.stream_csv = StreamToCsv(fuzz_case.stream, registry);
     failure.report = report->ToString();
-    std::string stem = "case_" + std::to_string(case_seed);
-    failure.repro = "motto verify --seed=" + std::to_string(case_seed) +
-                    " --iters=1\nmotto verify --workload=" + stem +
-                    ".ccl --stream=" + stem + ".csv\n";
-    if (!options.dump_dir.empty()) {
-      std::string base = options.dump_dir + "/" + stem;
-      MOTTO_RETURN_IF_ERROR(
-          SaveWorkloadFile(base + ".ccl", fuzz_case.queries, registry));
-      MOTTO_RETURN_IF_ERROR(
-          SaveStreamCsv(base + ".csv", fuzz_case.stream, registry));
+    failure.workload_text = WorkloadToText(c.queries, registry);
+    failure.stream_csv = StreamToCsv(c.stream, registry);
+    for (const ChurnCommand& cmd : c.script.commands) {
+      failure.script += std::to_string(cmd.ts) +
+                        (cmd.add ? " add " + WorkloadToText({cmd.query},
+                                                            registry)
+                                 : " remove " + cmd.name + "\n");
     }
+    if (c.recovery) failure.kill_plan = KillPlanText(*c.recovery);
     outcome.failures.push_back(std::move(failure));
+  }
+  return outcome;
+}
+
+Result<DiffOutcome> RunDiffer(const DifferOptions& options) {
+  MOTTO_ASSIGN_OR_RETURN(
+      DiffOutcome outcome,
+      RunCases(options.seed, options.iterations, options.fuzz, nullptr,
+               [&options](const DiffCase& c, EventTypeRegistry* registry) {
+                 return CheckCase(c.queries, c.stream, registry, options);
+               }));
+  for (Failure& failure : outcome.failures) {
+    failure.repro = "motto verify --seed=" + std::to_string(failure.case_seed) +
+                    " --iters=1\n";
+    if (options.dump_dir.empty()) continue;
+    const std::string base =
+        options.dump_dir + "/case_" + std::to_string(failure.case_seed);
+    for (const auto& [path, text] :
+         {std::pair{base + ".ccl", &failure.workload_text},
+          std::pair{base + ".csv", &failure.stream_csv}}) {
+      std::ofstream out(path);
+      out << *text;
+      if (!out) return InternalError("cannot write " + path);
+    }
+    failure.repro += "motto verify --workload=" + base + ".ccl --stream=" +
+                     base + ".csv\n";
   }
   return outcome;
 }

@@ -3,14 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/rng.h"
@@ -31,34 +27,6 @@ using serve::Frame;
 using serve::FrameType;
 using serve::ServeCore;
 using serve::ServeOptions;
-
-void Diff(const std::string& path, const std::string& query,
-          const MatchSet& oracle, const MatchSet& got,
-          std::vector<Mismatch>* out) {
-  if (oracle == got) return;
-  Mismatch m;
-  m.query = query;
-  m.path = path;
-  m.oracle_count = oracle.size();
-  m.path_count = got.size();
-  constexpr size_t kSampleCap = 4;
-  std::set_difference(oracle.begin(), oracle.end(), got.begin(), got.end(),
-                      std::back_inserter(m.missing));
-  std::set_difference(got.begin(), got.end(), oracle.begin(), oracle.end(),
-                      std::back_inserter(m.extra));
-  if (m.missing.size() > kSampleCap) m.missing.resize(kSampleCap);
-  if (m.extra.size() > kSampleCap) m.extra.resize(kSampleCap);
-  out->push_back(std::move(m));
-}
-
-std::map<std::string, MatchSet> RunToSets(const RunResult& run) {
-  std::map<std::string, MatchSet> sets;
-  for (const auto& [sink, events] : run.sink_events) {
-    MatchSet& set = sets[sink];
-    for (const Event& e : events) set.insert(e.Fingerprint());
-  }
-  return sets;
-}
 
 /// One frame of the generated connection plus the number of event frames
 /// that precede it — the resume arithmetic: after recovering at ingested
@@ -95,24 +63,23 @@ std::vector<GenFrame> GenerateFrames(const EventStream& stream,
     ev.ts = event.begin();
     ev.payload = event.payload();
     frames.push_back({std::move(ev), ++ordinal});
-    if (rng.Bernoulli(0.12)) {
-      Frame wm;
-      wm.type = FrameType::kWatermark;
-      wm.ts = event.begin();
-      frames.push_back({std::move(wm), ordinal});
-    }
-    if (rng.Bernoulli(0.05)) {
-      Frame flush;
-      flush.type = FrameType::kFlush;
-      frames.push_back({std::move(flush), ordinal});
-    }
-    if (rng.Bernoulli(0.04)) {
-      Frame ck;
-      ck.type = FrameType::kCheckpoint;
-      frames.push_back({std::move(ck), ordinal});
+    for (const auto& [p, type] : {std::pair{0.12, FrameType::kWatermark},
+                                  std::pair{0.05, FrameType::kFlush},
+                                  std::pair{0.04, FrameType::kCheckpoint}}) {
+      if (!rng.Bernoulli(p)) continue;
+      Frame control;
+      control.type = type;
+      if (type == FrameType::kWatermark) control.ts = event.begin();
+      frames.push_back({std::move(control), ordinal});
     }
   }
   return frames;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Parses a per-connection match file into per-sink fingerprint multisets.
@@ -120,10 +87,7 @@ std::vector<GenFrame> GenerateFrames(const EventStream& stream,
 /// what recovery is allowed to discard.
 std::map<std::string, MatchSet> ReadOutputSets(const std::string& path) {
   std::map<std::string, MatchSet> sets;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return sets;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  const std::string content = ReadFileBytes(path);
   size_t pos = 0;
   while (true) {
     size_t eol = content.find('\n', pos);
@@ -167,12 +131,6 @@ size_t OffsetOfLine(const std::string& content, uint64_t lines) {
     pos = eol + 1;
   }
   return pos;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 void WriteFileBytes(const std::string& path, std::string_view bytes) {
@@ -223,22 +181,14 @@ void TearOutput(const std::string& ckpt_dir, const std::string& out_path,
   WriteFileBytes(out_path, std::string_view(content).substr(0, cut));
 }
 
-struct FeedResult {
-  /// A kill fired (threshold reached or fault injection tripped); the core
-  /// was abandoned mid-stream.
-  bool killed = false;
-  /// The stream ran to the end and Finish() succeeded.
-  bool finished = false;
-  Status error;  // Non-fault engine errors abort the case.
-};
-
 /// Feeds `frames` into a fresh core from its recovered resume offset,
 /// simulating `kill` (if any). Plain kills abandon the core at an exact
 /// frame boundary; mid-checkpoint kills arm the fault hook at the threshold
 /// and abandon when the next checkpoint dies between rename and release.
-FeedResult FeedUntil(ServeCore* core, const std::vector<GenFrame>& frames,
-                     const RecoveryKill* kill) {
-  FeedResult result;
+/// Returns true once the stream ran to the end and Finish() succeeded,
+/// false when the kill fired; a non-fault engine error aborts the case.
+Result<bool> FeedUntil(ServeCore* core, const std::vector<GenFrame>& frames,
+                       const RecoveryKill* kill) {
   const uint64_t resume = core->ingested();
   bool armed = false;
   auto fault_tripped = [](const Status& s) {
@@ -260,12 +210,8 @@ FeedResult FeedUntil(ServeCore* core, const std::vector<GenFrame>& frames,
     }
     Result<bool> applied = core->OnFrame(gen.frame);
     if (!applied.ok()) {
-      if (armed && fault_tripped(applied.status())) {
-        result.killed = true;
-        return result;
-      }
-      result.error = applied.status();
-      return result;
+      if (armed && fault_tripped(applied.status())) return false;
+      return applied.status();
     }
     if (kill != nullptr && core->ingested() >= kill->after_events) {
       if (kill->kind == RecoveryKill::Kind::kMidCheckpoint) {
@@ -274,22 +220,17 @@ FeedResult FeedUntil(ServeCore* core, const std::vector<GenFrame>& frames,
           armed = true;
         }
       } else if (is_event) {
-        result.killed = true;  // SIGKILL at this frame boundary.
-        return result;
+        return false;  // SIGKILL at this frame boundary.
       }
     }
   }
   Result<RunResult> finished = core->Finish();
   if (!finished.ok()) {
-    if (armed && fault_tripped(finished.status())) {
-      result.killed = true;  // Died inside the final checkpoint.
-      return result;
-    }
-    result.error = finished.status();
-    return result;
+    // A tripped fault means the core died inside the final checkpoint.
+    if (armed && fault_tripped(finished.status())) return false;
+    return finished.status();
   }
-  result.finished = true;
-  return result;
+  return true;
 }
 
 ServeOptions MakeServeOptions(const RecoveryCaseSpec& spec,
@@ -305,20 +246,6 @@ ServeOptions MakeServeOptions(const RecoveryCaseSpec& spec,
 }
 
 }  // namespace
-
-std::string_view RecoveryKillKindName(RecoveryKill::Kind kind) {
-  switch (kind) {
-    case RecoveryKill::Kind::kPlain:
-      return "plain";
-    case RecoveryKill::Kind::kTornCheckpoint:
-      return "torn-checkpoint";
-    case RecoveryKill::Kind::kTornOutput:
-      return "torn-output";
-    case RecoveryKill::Kind::kMidCheckpoint:
-      return "mid-checkpoint";
-  }
-  return "unknown";
-}
 
 Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
                                      const EventStream& stream,
@@ -353,11 +280,9 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
   MOTTO_ASSIGN_OR_RETURN(Executor executor,
                          Executor::Create(std::move(outcome.jqp)));
   MOTTO_ASSIGN_OR_RETURN(RunResult batch, executor.Run(stream, exec_options));
-  std::map<std::string, MatchSet> oracle = RunToSets(batch);
-  // Fuzzed workloads occasionally explode combinatorially (broad DISJ/CONJ
-  // fanouts over wide windows). Replaying such a case through 4+ server
-  // incarnations costs minutes and gigabytes for no extra coverage; skip it
-  // the same way the plan differ treats oracle-budget overruns.
+  std::map<std::string, MatchSet> oracle = SinkMatches(batch);
+  // A within-budget case can still emit too many matches to replay through
+  // 4+ server incarnations for no extra coverage; it is skipped as well.
   size_t total_matches = 0;
   for (const auto& [sink, set] : oracle) total_matches += set.size();
   if (total_matches > 50000) {
@@ -371,9 +296,9 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
       ShardedExecutor::Create(std::move(sharded_jqp), spec.shards,
                               spec.threads));
   MOTTO_ASSIGN_OR_RETURN(RunResult sharded_run, sharded.Run(stream));
-  std::map<std::string, MatchSet> sharded_sets = RunToSets(sharded_run);
+  std::map<std::string, MatchSet> sharded_sets = SinkMatches(sharded_run);
   for (const auto& [sink, set] : oracle) {
-    Diff("sharded", sink, set, sharded_sets[sink], &report.mismatches);
+    report.Diff("sharded", sink, set, sharded_sets[sink]);
   }
 
   const fs::path case_dir(spec.case_dir);
@@ -393,12 +318,11 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
         std::unique_ptr<ServeCore> core,
         ServeCore::Create(queries, *registry, stats,
                           MakeServeOptions(spec, ckpt, out)));
-    FeedResult fed = FeedUntil(core.get(), frames, nullptr);
-    if (!fed.error.ok()) return fed.error;
+    MOTTO_RETURN_IF_ERROR(FeedUntil(core.get(), frames, nullptr).status());
     std::map<std::string, MatchSet> clean =
         ReadOutputSets((fs::path(out) / "conn0.matches").string());
     for (const auto& [sink, set] : oracle) {
-      Diff("serve-clean", sink, set, clean[sink], &report.mismatches);
+      report.Diff("serve-clean", sink, set, clean[sink]);
     }
   }
 
@@ -419,24 +343,19 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
         std::unique_ptr<ServeCore> core,
         ServeCore::Create(queries, *registry, stats,
                           MakeServeOptions(spec, ckpt, out)));
-    if (expect_torn_warning) {
-      bool warned = false;
-      for (const std::string& w : core->recovery().warnings) {
-        if (w.find("skipping") != std::string::npos) warned = true;
-      }
-      if (!warned) {
-        Mismatch m;
-        m.query = "(recovery)";
-        m.path = "torn-checkpoint-warning";
-        report.mismatches.push_back(std::move(m));
-      }
-      expect_torn_warning = false;
+    const std::vector<std::string>& warnings = core->recovery().warnings;
+    if (expect_torn_warning &&
+        std::none_of(warnings.begin(), warnings.end(), [](const auto& w) {
+          return w.find("skipping") != std::string::npos;
+        })) {
+      report.mismatches.push_back(
+          {"(recovery)", "torn-checkpoint-warning", 0, 0, {}, {}});
     }
+    expect_torn_warning = false;
     const RecoveryKill* kill =
         next_kill < spec.kills.size() ? &spec.kills[next_kill] : nullptr;
-    FeedResult fed = FeedUntil(core.get(), frames, kill);
-    if (!fed.error.ok()) return fed.error;
-    if (fed.finished) break;
+    MOTTO_ASSIGN_OR_RETURN(bool finished, FeedUntil(core.get(), frames, kill));
+    if (finished) break;
     // Killed: abandon the core, then apply this kill's disk damage before
     // the next incarnation recovers.
     core.reset();
@@ -458,11 +377,11 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
 
   std::map<std::string, MatchSet> recovered = ReadOutputSets(out_file);
   for (const auto& [sink, set] : oracle) {
-    Diff("serve-recovered", sink, set, recovered[sink], &report.mismatches);
+    report.Diff("serve-recovered", sink, set, recovered[sink]);
   }
   for (const auto& [sink, set] : recovered) {
     if (oracle.find(sink) == oracle.end()) {
-      Diff("serve-recovered", sink, MatchSet{}, set, &report.mismatches);
+      report.Diff("serve-recovered", sink, MatchSet{}, set);
     }
   }
 
@@ -491,25 +410,19 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
   return report;
 }
 
-Result<RecoveryOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options) {
-  RecoveryOutcome outcome;
-  fs::path work_root =
+Result<DiffOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options) {
+  const fs::path work_root =
       options.work_dir.empty()
           ? fs::temp_directory_path() /
                 ("motto-recovery-" + std::to_string(::getpid()) + "-" +
                  std::to_string(options.seed))
           : fs::path(options.work_dir);
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    const uint64_t case_seed = options.seed + static_cast<uint64_t>(iter);
-    EventTypeRegistry registry;
-    QueryFuzzer fuzzer(&registry, options.fuzz, case_seed);
-    FuzzCase base = fuzzer.Next();
-    ++outcome.iterations;
-    if (base.stream.size() < 8) continue;
-
+  auto derive = [&](uint64_t case_seed, int index, QueryFuzzer*,
+                    DiffCase* c) {
+    if (c->stream.size() < 8) return false;
     RecoveryCaseSpec spec;
-    spec.eval_order = (iter % 2 == 0) ? EvalOrderMode::kArrival
-                                      : EvalOrderMode::kSelectivity;
+    spec.eval_order = (index % 2 == 0) ? EvalOrderMode::kArrival
+                                       : EvalOrderMode::kSelectivity;
     spec.shards = options.shards;
     spec.threads = options.threads;
     spec.frame_seed = case_seed * 0x2545F4914F6CDD1Dull + 11;
@@ -525,7 +438,7 @@ Result<RecoveryOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options) 
       if (r < 0.80) return RecoveryKill::Kind::kTornOutput;
       return RecoveryKill::Kind::kMidCheckpoint;
     };
-    const int64_t n = static_cast<int64_t>(base.stream.size());
+    const int64_t n = static_cast<int64_t>(c->stream.size());
     RecoveryKill first;
     first.after_events = static_cast<uint64_t>(rng.Uniform(1, n));
     first.kind = roll_kind();
@@ -537,55 +450,26 @@ Result<RecoveryOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options) 
       second.kind = roll_kind();
       spec.kills.push_back(second);
     }
-    auto checked = CheckRecoveryCase(base.queries, base.stream, &registry,
-                                     spec);
-    if (!checked.ok()) {
-      if (checked.status().code() == StatusCode::kOutOfRange) {
-        ++outcome.skipped;
-        continue;
-      }
-      return Status(checked.status().code(),
-                    "case seed " + std::to_string(case_seed) + ": " +
-                        checked.status().message());
-    }
-    outcome.kills += spec.kills.size();
-    for (const RecoveryKill& kill : spec.kills) {
-      switch (kill.kind) {
-        case RecoveryKill::Kind::kTornCheckpoint:
-          ++outcome.torn_checkpoints;
-          break;
-        case RecoveryKill::Kind::kTornOutput:
-          ++outcome.torn_outputs;
-          break;
-        case RecoveryKill::Kind::kMidCheckpoint:
-          ++outcome.mid_checkpoint_faults;
-          break;
-        case RecoveryKill::Kind::kPlain:
-          break;
-      }
-    }
-    const CaseReport& report = *checked;
-    if (report.ok()) continue;
-
-    RecoveryFailure failure;
-    failure.case_seed = case_seed;
-    failure.report = report.ToString();
-    std::ostringstream detail;
-    detail << "eval-order="
-           << (spec.eval_order == EvalOrderMode::kArrival ? "arrival"
-                                                          : "selectivity")
-           << " interval=" << spec.checkpoint_interval << " kills=[";
-    for (size_t k = 0; k < spec.kills.size(); ++k) {
-      if (k > 0) detail << ", ";
-      detail << RecoveryKillKindName(spec.kills[k].kind) << "@"
-             << spec.kills[k].after_events;
-    }
-    detail << "] stream=" << base.stream.size() << " events";
-    failure.detail = detail.str();
-    outcome.failures.push_back(std::move(failure));
-  }
+    c->recovery = std::move(spec);
+    return true;
+  };
+  Result<DiffOutcome> outcome = RunCases(
+      options.seed, options.iterations, options.fuzz, derive,
+      [](const DiffCase& c, EventTypeRegistry* registry) {
+        return CheckRecoveryCase(c.queries, c.stream, registry, *c.recovery);
+      });
   std::error_code ec;
   fs::remove_all(work_root, ec);
+  if (outcome.ok()) {
+    for (Failure& failure : outcome->failures) {
+      // The eval order follows the case's index parity, so the replay
+      // starts an even number of cases after the root seed.
+      const uint64_t odd = (failure.case_seed - options.seed) % 2;
+      failure.repro = "motto verify --recovery --seed=" +
+                      std::to_string(failure.case_seed - odd) +
+                      " --iters=" + std::to_string(1 + odd) + "\n";
+    }
+  }
   return outcome;
 }
 

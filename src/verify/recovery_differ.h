@@ -7,7 +7,6 @@
 
 #include "ccl/pattern.h"
 #include "common/result.h"
-#include "engine/runtime.h"
 #include "event/stream.h"
 #include "verify/differ.h"
 #include "verify/fuzzer.h"
@@ -27,34 +26,6 @@ namespace motto::verify {
 /// durable before each kill must be a sub-multiset of the final output
 /// (nothing ever released gets lost or contradicted).
 
-struct RecoveryKill {
-  enum class Kind {
-    /// Abandon the server at a frame boundary (SIGKILL equivalent: the
-    /// core writes output only inside checkpoint releases, so dropping the
-    /// object loses exactly what a kill would lose).
-    kPlain,
-    /// After the kill, forge a torn higher-seq snapshot file: recovery
-    /// must skip it with a warning and use the previous valid one.
-    kTornCheckpoint,
-    /// After the kill, tear the output file's un-checkpointed tail
-    /// (a kill mid-release-append); bytes covered by the latest valid
-    /// snapshot's released-line horizon are never touched, matching what
-    /// a real crash can tear.
-    kTornOutput,
-    /// Fault injection inside the server: the checkpoint becomes durable
-    /// but the process dies before releasing its outbox — the kill window
-    /// between the snapshot rename and the output append.
-    kMidCheckpoint,
-  };
-
-  /// Kill once `ingested` reaches this many events (thresholds ascend
-  /// across the plan, so later kills can land during catch-up replay).
-  uint64_t after_events = 0;
-  Kind kind = Kind::kPlain;
-};
-
-std::string_view RecoveryKillKindName(RecoveryKill::Kind kind);
-
 struct RecoveryDifferOptions {
   /// Root seed; case i uses seed + i (same convention as DifferOptions).
   uint64_t seed = 1;
@@ -68,20 +39,6 @@ struct RecoveryDifferOptions {
   std::string work_dir;
 };
 
-/// Everything that parameterizes one recovery case beyond the fuzzed
-/// workload/stream pair.
-struct RecoveryCaseSpec {
-  std::vector<RecoveryKill> kills;
-  EvalOrderMode eval_order = EvalOrderMode::kArrival;
-  uint64_t checkpoint_interval = 10;
-  int shards = 5;
-  int threads = 2;
-  /// Seeds the control-frame interleaving.
-  uint64_t frame_seed = 1;
-  /// Scratch directory for this case (created/overwritten as needed).
-  std::string case_dir;
-};
-
 /// Runs one case: batch reference, sharded cross-check, uninterrupted
 /// serve run, then the killed-and-recovered run per `spec.kills`; returns
 /// the per-sink multiset mismatches (empty report = invariant held).
@@ -90,31 +47,10 @@ Result<CaseReport> CheckRecoveryCase(const std::vector<Query>& queries,
                                      EventTypeRegistry* registry,
                                      const RecoveryCaseSpec& spec);
 
-struct RecoveryFailure {
-  uint64_t case_seed = 0;
-  std::string report;
-  /// Kill plan, eval order and interval of the failing case.
-  std::string detail;
-};
-
-struct RecoveryOutcome {
-  int iterations = 0;
-  /// Cases abandoned because the fuzzed workload's match volume blew past
-  /// the budget (combinatorial explosion); mirrors the plan differ's
-  /// oracle-budget skips.
-  int skipped = 0;
-  uint64_t kills = 0;
-  uint64_t torn_checkpoints = 0;
-  uint64_t torn_outputs = 0;
-  uint64_t mid_checkpoint_faults = 0;
-  std::vector<RecoveryFailure> failures;
-  bool ok() const { return failures.empty(); }
-};
-
-/// The fuzz loop behind `motto verify --recovery`: `iterations` cases from
-/// the root seed, alternating eval-order modes, each with a randomized
-/// checkpoint interval and a 1-2 kill plan of mixed kinds.
-Result<RecoveryOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options);
+/// The fuzz loop behind `motto verify --recovery`: RunCases over
+/// CheckRecoveryCase, each case alternating eval-order modes, with a
+/// randomized checkpoint interval and a 1-2 kill plan of mixed kinds.
+Result<DiffOutcome> RunRecoveryDiffer(const RecoveryDifferOptions& options);
 
 }  // namespace motto::verify
 

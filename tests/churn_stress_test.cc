@@ -15,24 +15,14 @@
 namespace motto {
 namespace {
 
+using testing::ExpectCleanSweep;
 using testing::IterationsFromEnv;
-
-void ExpectClean(verify::ChurnDifferOptions options) {
-  auto outcome = verify::RunChurnDiffer(options);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  for (const std::string& failure : outcome->failures) {
-    ADD_FAILURE() << failure;
-  }
-  // The sweep must actually exercise migration: if (almost) every fuzzed
-  // stream was too short to schedule a script the run proves nothing.
-  EXPECT_LE(outcome->skipped, outcome->iterations / 4);
-}
 
 TEST(ChurnStressTest, DefaultShapes) {
   verify::ChurnDifferOptions options;
   options.seed = 1;
   options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 12);
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunChurnDiffer(options));
 }
 
 TEST(ChurnStressTest, ChurnHeavy) {
@@ -44,7 +34,7 @@ TEST(ChurnStressTest, ChurnHeavy) {
   options.fuzz.num_queries = 2;
   options.added_queries = 3;
   options.removals = 3;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunChurnDiffer(options));
 }
 
 TEST(ChurnStressTest, NegationAndCollisions) {
@@ -57,7 +47,7 @@ TEST(ChurnStressTest, NegationAndCollisions) {
   options.fuzz.negation_prob = 0.8;
   options.fuzz.ts_collision_prob = 0.5;
   options.fuzz.num_events = 30;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunChurnDiffer(options));
 }
 
 TEST(ChurnStressTest, RemoveOnly) {
@@ -69,7 +59,7 @@ TEST(ChurnStressTest, RemoveOnly) {
   options.fuzz.num_queries = 4;
   options.added_queries = 0;
   options.removals = 2;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunChurnDiffer(options));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // nightly sanitizer sweep raises it via tools/check_build.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,27 +19,14 @@
 namespace motto {
 namespace {
 
+using testing::ExpectCleanSweep;
 using testing::IterationsFromEnv;
-
-void ExpectClean(verify::DifferOptions options) {
-  auto outcome = verify::RunDiffer(options);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  for (const verify::Failure& failure : outcome->failures) {
-    ADD_FAILURE() << "case seed " << failure.case_seed << ":\n"
-                  << failure.report << "workload:\n" << failure.workload_text
-                  << "stream:\n" << failure.stream_csv << "repro:\n"
-                  << failure.repro;
-  }
-  // The suite must actually evaluate cases: if the oracle budget skipped
-  // (almost) everything the run proves nothing.
-  EXPECT_LE(outcome->skipped, outcome->iterations / 4);
-}
 
 TEST(DifferentialTest, DefaultShapes) {
   verify::DifferOptions options;
   options.seed = 1;
   options.iterations = IterationsFromEnv("MOTTO_FUZZ_ITERS", 40);
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunDiffer(options));
 }
 
 TEST(DifferentialTest, DeepNesting) {
@@ -48,7 +36,7 @@ TEST(DifferentialTest, DeepNesting) {
   options.fuzz.max_depth = 3;
   options.fuzz.nested_prob = 0.7;
   options.fuzz.num_events = 24;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunDiffer(options));
 }
 
 TEST(DifferentialTest, TinyAlphabetManyCollisions) {
@@ -60,7 +48,7 @@ TEST(DifferentialTest, TinyAlphabetManyCollisions) {
   options.fuzz.num_event_types = 2;
   options.fuzz.ts_collision_prob = 0.45;
   options.fuzz.negation_prob = 0.5;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunDiffer(options));
 }
 
 TEST(DifferentialTest, SingleQueryWideWindows) {
@@ -72,7 +60,53 @@ TEST(DifferentialTest, SingleQueryWideWindows) {
   options.fuzz.num_queries = 1;
   options.fuzz.num_events = 28;
   options.fuzz.max_gap = 3;
-  ExpectClean(options);
+  ExpectCleanSweep(verify::RunDiffer(options));
+}
+
+TEST(DifferentialTest, ShrinkCaseMinimizesEveryPartOfTheCase) {
+  // A fake check that fails while the case holds query q1, an E2 event,
+  // the add command of c0 and a kill: the shrinker must strip everything
+  // else, whatever the kind.
+  EventTypeRegistry registry;
+  verify::QueryFuzzer fuzzer(&registry, verify::FuzzOptions{}, 11);
+  verify::DiffCase c{fuzzer.Next(), {}, {}};
+  const EventTypeId e2 = registry.Find("E2");
+  ASSERT_EQ(c.queries.size(), 3u);
+  ASSERT_EQ(c.stream.size(), 36u);
+  ASSERT_GT(std::count_if(c.stream.begin(), c.stream.end(),
+                          [&](const Event& e) { return e.type() == e2; }),
+            1);
+  c.script.commands = {{5, true, "c0", fuzzer.NextQuery("c0")},
+                       {9, true, "c1", fuzzer.NextQuery("c1")},
+                       {20, false, "q2", {}},
+                       {30, false, "c1", {}}};
+  c.recovery.emplace().kills = {
+      {.after_events = 6, .kind = verify::RecoveryKill::Kind::kPlain},
+      {.after_events = 20, .kind = verify::RecoveryKill::Kind::kTornOutput}};
+  auto check = [&](const verify::DiffCase& d,
+                   EventTypeRegistry*) -> Result<verify::CaseReport> {
+    verify::CaseReport report;
+    const bool fails =
+        std::any_of(d.queries.begin(), d.queries.end(),
+                    [](const Query& q) { return q.name == "q1"; }) &&
+        std::any_of(d.stream.begin(), d.stream.end(),
+                    [&](const Event& e) { return e.type() == e2; }) &&
+        std::any_of(d.script.commands.begin(), d.script.commands.end(),
+                    [](const ChurnCommand& cmd) {
+                      return cmd.add && cmd.name == "c0";
+                    }) &&
+        !d.recovery->kills.empty();
+    if (fails) report.Diff("fake", "q1", {}, {"x"});
+    return report;
+  };
+  verify::ShrinkCase(&c, &registry, check);
+  ASSERT_EQ(c.queries.size(), 1u);
+  EXPECT_EQ(c.queries[0].name, "q1");
+  ASSERT_EQ(c.stream.size(), 1u);
+  EXPECT_EQ(c.stream[0].type(), e2);
+  ASSERT_EQ(c.script.commands.size(), 1u);
+  EXPECT_EQ(c.script.commands[0].name, "c0");
+  EXPECT_EQ(c.recovery->kills.size(), 1u);
 }
 
 /// Replays one pinned (workload, stream) pair through CheckCase.

@@ -405,12 +405,18 @@ TEST_F(MatcherTest, LazyFallsBackForDisjAndMalformedOrder) {
 // semantics on randomized streams, across operators, windows and negation.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its PropertyCase, so the
+// struct must have no padding bytes, whose contents are indeterminate:
+// `with_neg` fills a whole word.
 struct PropertyCase {
   PatternOp op;
   int num_operands;
-  bool with_neg;
+  int64_t with_neg;  // 0 or 1
   Duration window;
 };
+static_assert(sizeof(PropertyCase) ==
+              sizeof(PatternOp) + sizeof(int) + sizeof(int64_t) +
+                  sizeof(Duration));
 
 class MatcherPropertyTest : public ::testing::TestWithParam<PropertyCase> {};
 

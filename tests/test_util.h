@@ -13,8 +13,10 @@
 
 #include "ccl/pattern.h"
 #include "common/flags.h"
+#include "common/result.h"
 #include "event/event.h"
 #include "event/stream.h"
+#include "verify/differ.h"
 
 namespace motto::testing {
 
@@ -30,6 +32,22 @@ inline int IterationsFromEnv(const char* variable, int fallback) {
     return fallback;
   }
   return static_cast<int>(flags.Int("iters"));
+}
+
+/// Fails the calling test on each failing case of a differential fuzz
+/// sweep, and unless the sweep checked at least one case. With
+/// `bound_skips`, at most a quarter of the cases (and at least one) may be
+/// skipped, so a sweep cannot quietly check almost nothing.
+inline void ExpectCleanSweep(const Result<verify::DiffOutcome>& outcome,
+                             bool bound_skips = true) {
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  for (const verify::Failure& failure : outcome->failures) {
+    ADD_FAILURE() << failure.ToString();
+  }
+  EXPECT_LT(outcome->skipped, outcome->iterations) << "no case was checked";
+  if (bound_skips) {
+    EXPECT_LE(outcome->skipped, std::max(1, outcome->iterations / 4));
+  }
 }
 
 /// Builds a sorted primitive stream from (type name, timestamp) pairs,

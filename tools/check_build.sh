@@ -11,8 +11,10 @@
 # Exits non-zero on the first configuration that fails to build or test.
 #
 # MOTTO_FUZZ_ITERS scales the differential-verification suites (ctest label
-# `verify`: oracle vs matcher vs shared/parallel/SA plans, plus the CCL
-# round-trip fuzz). It is exported through to the test binaries, so e.g.
+# `verify`: the plan and churn differs and the CCL round-trip fuzz; the
+# crash-recovery differ, also labelled `verify`, scales with
+# MOTTO_RECOVERY_FUZZ_ITERS). It is exported through to the test binaries,
+# so e.g.
 #   MOTTO_FUZZ_ITERS=2000 tools/check_build.sh
 # turns the default quick pass into a nightly-depth sweep in all three
 # configurations. Unset, the suites use their built-in defaults
@@ -22,7 +24,8 @@
 # Other useful ctest labels (all part of the full suite this script runs):
 #   ctest -L explain   optimizer-observability suite alone (plan inspector,
 #                      probe traces, calibration; DESIGN.md §11)
-#   ctest -L verify    differential verification alone (DESIGN.md §10)
+#   ctest -L verify    the three differs alone: plans, churn and crash
+#                      recovery (DESIGN.md §10, §14.3, §15.4)
 #   ctest -L shard     sharded data-parallel runtime alone (partition plans,
 #                      replica equivalence, randomized sharded-vs-single
 #                      stress; DESIGN.md §12)
@@ -104,6 +107,9 @@ run_config() {
 }
 
 run_config build "" ""
+# The three differs at a depth below 4 cases, where a skip budget of
+# iterations / 4 would be 0; the sweeps allow one skip there.
+(cd build && MOTTO_FUZZ_ITERS=3 ctest --output-on-failure -j "${JOBS}" -L verify)
 run_config build-asan address ""
 run_config build-tsan thread "${TSAN_FILTER}"
 

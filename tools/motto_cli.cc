@@ -822,6 +822,35 @@ Result<int> Top(const FlagSet& flags) {
   return 0;
 }
 
+/// Prints a differ's summary line (with the kills of a recovery run) and
+/// each failing case; exit code 1 if any case failed.
+int PrintOutcome(const std::string& command, uint64_t seed,
+                 verify::DiffOutcome outcome) {
+  using Kind = verify::RecoveryKill::Kind;
+  std::printf("%s: %d cases (seed %llu..%llu), %d skipped", command.c_str(),
+              outcome.iterations, static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(
+                  seed + static_cast<uint64_t>(outcome.iterations) - 1),
+              outcome.skipped);
+  if (!outcome.kills.empty()) {
+    uint64_t kills = 0;
+    for (const auto& [kind, count] : outcome.kills) kills += count;
+    std::printf(", %llu kills (torn-ckpt=%llu torn-out=%llu mid-ckpt=%llu)",
+                static_cast<unsigned long long>(kills),
+                static_cast<unsigned long long>(
+                    outcome.kills[Kind::kTornCheckpoint]),
+                static_cast<unsigned long long>(
+                    outcome.kills[Kind::kTornOutput]),
+                static_cast<unsigned long long>(
+                    outcome.kills[Kind::kMidCheckpoint]));
+  }
+  std::printf(", %zu failures\n", outcome.failures.size());
+  for (const verify::Failure& failure : outcome.failures) {
+    std::printf("\n%s", failure.ToString().c_str());
+  }
+  return outcome.ok() ? 0 : 1;
+}
+
 /// Differential verification (DESIGN.md §10). Fuzz mode checks N seeded
 /// cases across every execution path; repro mode replays one dumped case.
 Result<int> Verify(const FlagSet& flags) {
@@ -851,21 +880,7 @@ Result<int> Verify(const FlagSet& flags) {
 
   MOTTO_ASSIGN_OR_RETURN(verify::DiffOutcome outcome,
                          verify::RunDiffer(options));
-  std::printf("verify: %d cases (seed %llu..%llu), %d skipped, %zu failures\n",
-              outcome.iterations,
-              static_cast<unsigned long long>(options.seed),
-              static_cast<unsigned long long>(
-                  options.seed +
-                  static_cast<uint64_t>(options.iterations) - 1),
-              outcome.skipped, outcome.failures.size());
-  for (const verify::Failure& failure : outcome.failures) {
-    std::printf("\n-- failing case (seed %llu) --\n%s-- workload --\n%s"
-                "-- repro --\n%s",
-                static_cast<unsigned long long>(failure.case_seed),
-                failure.report.c_str(), failure.workload_text.c_str(),
-                failure.repro.c_str());
-  }
-  return outcome.ok() ? 0 : 1;
+  return PrintOutcome("verify", options.seed, std::move(outcome));
 }
 
 /// The crash-recovery differential loop behind `motto verify --recovery`
@@ -881,28 +896,9 @@ Result<int> VerifyRecovery(const FlagSet& flags) {
   options.shards = static_cast<int>(flags.Int("shards"));
   options.threads = static_cast<int>(flags.Int("threads"));
   options.work_dir = flags.String("work-dir");
-
-  MOTTO_ASSIGN_OR_RETURN(verify::RecoveryOutcome outcome,
+  MOTTO_ASSIGN_OR_RETURN(verify::DiffOutcome outcome,
                          verify::RunRecoveryDiffer(options));
-  std::printf(
-      "verify --recovery: %d cases (seed %llu..%llu, %d skipped), %llu kills "
-      "(torn-ckpt=%llu torn-out=%llu mid-ckpt=%llu), %zu failures\n",
-      outcome.iterations, static_cast<unsigned long long>(options.seed),
-      static_cast<unsigned long long>(
-          options.seed + static_cast<uint64_t>(options.iterations) - 1),
-      outcome.skipped, static_cast<unsigned long long>(outcome.kills),
-      static_cast<unsigned long long>(outcome.torn_checkpoints),
-      static_cast<unsigned long long>(outcome.torn_outputs),
-      static_cast<unsigned long long>(outcome.mid_checkpoint_faults),
-      outcome.failures.size());
-  for (const verify::RecoveryFailure& failure : outcome.failures) {
-    std::printf("\n-- failing case (seed %llu) --\n%s\n%s",
-                static_cast<unsigned long long>(failure.case_seed),
-                failure.detail.c_str(), failure.report.c_str());
-    std::printf("repro: motto verify --recovery --seed=%llu --iters=1\n",
-                static_cast<unsigned long long>(failure.case_seed));
-  }
-  return outcome.ok() ? 0 : 1;
+  return PrintOutcome("verify --recovery", options.seed, std::move(outcome));
 }
 
 struct Command {
