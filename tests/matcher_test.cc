@@ -406,26 +406,35 @@ TEST_F(MatcherTest, LazyFallsBackForDisjAndMalformedOrder) {
 // ---------------------------------------------------------------------------
 
 // gtest names each case after the raw bytes of its PropertyCase, so the
-// struct must have no padding bytes, whose contents are indeterminate:
-// `with_neg` fills a whole word.
+// struct must have no padding bytes, whose contents are indeterminate.
 struct PropertyCase {
+  PropertyCase(PatternOp op_in, int num_operands_in, bool with_neg_in,
+               Duration window_in, int16_t reruns_in = 0)
+      : op(op_in),
+        num_operands(num_operands_in),
+        with_neg(with_neg_in ? 1 : 0),
+        reruns(reruns_in),
+        seed(static_cast<uint32_t>(num_operands_in * 1000 +
+                                   static_cast<int>(op_in) * 100 +
+                                   (with_neg_in ? 7 : 0) + window_in)),
+        window(window_in) {}
+
   PatternOp op;
   int num_operands;
-  int64_t with_neg;  // 0 or 1
+  int16_t with_neg;  // 0 or 1
+  int16_t reruns;    // Replays of each round's stream after a Reset().
+  uint32_t seed;     // Of the case's Rng.
   Duration window;
 };
 static_assert(sizeof(PropertyCase) ==
-              sizeof(PatternOp) + sizeof(int) + sizeof(int64_t) +
-                  sizeof(Duration));
+              sizeof(PatternOp) + sizeof(int) + 2 * sizeof(int16_t) +
+                  sizeof(uint32_t) + sizeof(Duration));
 
 class MatcherPropertyTest : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(MatcherPropertyTest, AgreesWithReference) {
   const PropertyCase& param = GetParam();
-  Rng rng(static_cast<uint64_t>(param.num_operands * 1000 +
-                                static_cast<int>(param.op) * 100 +
-                                (param.with_neg ? 7 : 0)) +
-          static_cast<uint64_t>(param.window));
+  Rng rng(param.seed);
   for (int round = 0; round < 25; ++round) {
     EventTypeRegistry registry;
     int alphabet = param.num_operands + 2;
@@ -450,12 +459,17 @@ TEST_P(MatcherPropertyTest, AgreesWithReference) {
       stream.push_back(Event::Primitive(
           types[static_cast<size_t>(rng.Uniform(0, alphabet - 1))], ts));
     }
-    PatternMatcher matcher(MakeRawPatternSpec(flat, param.window, &registry));
-    MatchSet actual = Fingerprints(RunMatcher(&matcher, stream));
     MatchSet expected = ReferenceMatches(flat, param.window, stream);
-    EXPECT_EQ(actual, expected)
-        << "round " << round << " op=" << PatternOpName(flat.op)
-        << " pattern=" << flat.ToString(registry) << " window=" << param.window;
+    // Every run after the first replays the stream on a Reset() matcher.
+    PatternMatcher matcher(MakeRawPatternSpec(flat, param.window, &registry));
+    for (int run = 0; run <= param.reruns; ++run) {
+      if (run > 0) matcher.Reset();
+      EXPECT_EQ(Fingerprints(RunMatcher(&matcher, stream)), expected)
+          << "round " << round << " run " << run
+          << " op=" << PatternOpName(flat.op)
+          << " pattern=" << flat.ToString(registry)
+          << " window=" << param.window;
+    }
     // Lazy mode must agree under the identity order and a random shuffle.
     PatternSpec lazy_spec = MakeRawPatternSpec(flat, param.window, &registry);
     for (int variant = 0; variant < 2; ++variant) {
@@ -472,12 +486,14 @@ TEST_P(MatcherPropertyTest, AgreesWithReference) {
       }
       PatternMatcher lazy(lazy_spec);
       lazy.SetEvalMode(EvalOrderMode::kSelectivity);
-      MatchSet lazy_actual = Fingerprints(RunMatcher(&lazy, stream));
-      EXPECT_EQ(lazy_actual, expected)
-          << "lazy round " << round << " variant " << variant
-          << " op=" << PatternOpName(flat.op)
-          << " pattern=" << flat.ToString(registry)
-          << " window=" << param.window;
+      for (int run = 0; run <= param.reruns; ++run) {
+        if (run > 0) lazy.Reset();
+        EXPECT_EQ(Fingerprints(RunMatcher(&lazy, stream)), expected)
+            << "lazy round " << round << " variant " << variant << " run "
+            << run << " op=" << PatternOpName(flat.op)
+            << " pattern=" << flat.ToString(registry)
+            << " window=" << param.window;
+      }
     }
   }
 }
@@ -497,7 +513,7 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyCase{PatternOp::kDisj, 2, false, 100},
         PropertyCase{PatternOp::kDisj, 4, false, 100},
         PropertyCase{PatternOp::kSeq, 3, false, 20},   // Tight window.
-        PropertyCase{PatternOp::kConj, 3, false, 20},
+        PropertyCase{PatternOp::kConj, 3, false, 20, /*reruns_in=*/4},
         PropertyCase{PatternOp::kSeq, 2, false, 100000}));  // Loose window.
 
 }  // namespace
