@@ -67,11 +67,14 @@ std::string BnbTelemetry::ToJson() const {
   std::string out = "{";
   out += "\"expansions\":" + std::to_string(expansions);
   out += ",\"pruned_by_bound\":" + std::to_string(pruned_by_bound);
-  out += ",\"options_considered\":" + std::to_string(options_considered);
+  out += ",\"fixed_by_reduced_cost\":" +
+         std::to_string(fixed_by_reduced_cost);
   out += ",\"deadline_hit\":";
   out += deadline_hit ? "true" : "false";
   out += ",\"first_incumbent_seconds\":" + JsonNum(first_incumbent_seconds);
   out += ",\"solve_seconds\":" + JsonNum(solve_seconds);
+  out += ",\"lower_bound\":" + JsonNum(lower_bound);
+  out += ",\"gap\":" + JsonNum(gap);
   out += ",\"incumbents\":[";
   for (size_t i = 0; i < incumbents.size(); ++i) {
     if (i) out += ",";
@@ -149,14 +152,16 @@ std::string OptimizerProbe::Summary() const {
     }
   }
   if (bnb.recorded) {
-    std::snprintf(
-        line, sizeof(line),
-        "bnb: %llu expanded, %llu pruned, %zu incumbents%s (%.3fs%s)\n",
-        static_cast<unsigned long long>(bnb.expansions),
-        static_cast<unsigned long long>(bnb.pruned_by_bound),
-        bnb.incumbents.size(), bnb.deadline_hit ? " [deadline]" : "",
-        bnb.solve_seconds,
-        bnb.first_incumbent_seconds >= 0 ? ", improved" : "");
+    std::snprintf(line, sizeof(line),
+                  "bnb: %llu expanded, %llu pruned, %llu fixed, "
+                  "%zu incumbents%s (%.3fs%s), bound %.4f, gap %.3g%%\n",
+                  static_cast<unsigned long long>(bnb.expansions),
+                  static_cast<unsigned long long>(bnb.pruned_by_bound),
+                  static_cast<unsigned long long>(bnb.fixed_by_reduced_cost),
+                  bnb.incumbents.size(), bnb.deadline_hit ? " [deadline]" : "",
+                  bnb.solve_seconds,
+                  bnb.first_incumbent_seconds >= 0 ? ", improved" : "",
+                  bnb.lower_bound, 100.0 * bnb.gap);
     out += line;
   }
   if (sa.recorded) {

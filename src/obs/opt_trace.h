@@ -78,19 +78,28 @@ struct RewriterTelemetry {
 /// naive (no sharing) seed at expansions=0; later entries are search-found.
 struct BnbIncumbent {
   double cost = 0.0;
-  uint64_t expansions = 0;  // DFS expansions when the incumbent was found.
+  uint64_t expansions = 0;  // Search nodes expanded when it was found.
   double seconds = 0.0;     // Wall time since solve start.
 };
 
 struct BnbTelemetry {
+  /// Search nodes expanded; each runs one dual ascent.
   uint64_t expansions = 0;
+  /// Search nodes closed because their bound reached the incumbent.
   uint64_t pruned_by_bound = 0;
-  uint64_t options_considered = 0;
+  /// Steiner nodes excluded by reduced-cost fixing, over all search nodes.
+  uint64_t fixed_by_reduced_cost = 0;
   bool deadline_hit = false;
   /// Wall seconds to the first search-found incumbent (-1: none found, the
   /// naive seed was never improved).
   double first_incumbent_seconds = -1.0;
   double solve_seconds = 0.0;
+  /// The root's dual-ascent lower bound on the optimal cost (0 when the
+  /// budget ran out before the root was expanded).
+  double lower_bound = 0.0;
+  /// (cost - proven bound) / cost of the returned plan, where the proven
+  /// bound is the least bound of the subproblems left open: 0 when exact.
+  double gap = 0.0;
   std::vector<BnbIncumbent> incumbents;
   bool recorded = false;
 

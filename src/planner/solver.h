@@ -42,11 +42,14 @@ PlanDecision NaivePlan(const SharingGraph& graph);
 Result<double> ValidateDecision(const SharingGraph& graph,
                                 const PlanDecision& decision);
 
-/// Exact branch-and-bound DSMT solver. Explores per-node source choices in
-/// best-first order with an admissible lower bound. Returns the optimal
-/// decision, or — when `budget_seconds` elapses first — the best incumbent
-/// with exact=false. A non-null `probe` receives search telemetry
-/// (expansions, bound prunes, incumbent timeline) into probe->bnb.
+/// Exact branch-and-bound DSMT solver. Branches on including or excluding
+/// Steiner nodes; each search node is bounded by Wong's dual ascent, whose
+/// reduced costs also give a primal plan and exclude useless nodes (DESIGN.md
+/// §6 step 4). Returns the optimal decision, or — when `budget_seconds`
+/// elapses first — the best incumbent with exact=false. The graph must be
+/// acyclic with finite, non-negative costs (checked). A non-null `probe`
+/// receives search telemetry (expansions, bound prunes, fixed nodes, root
+/// bound, gap, incumbent timeline) into probe->bnb.
 PlanDecision SolveBranchAndBound(const SharingGraph& graph,
                                  double budget_seconds,
                                  obs::OptimizerProbe* probe = nullptr);

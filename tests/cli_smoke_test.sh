@@ -32,6 +32,28 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 grep -q "sharing graph" explain.out || fail "explain output missing plan"
 grep -q "rewriter:" explain.out || fail "explain optimizer trace missing"
 
+# At the Fig 13a size (100 stock queries, r = 100%) the exact DSMT search
+# proves its plan optimal: the plan is exact and the bnb line has no gap.
+"${MOTTO}" gen-stream --events=20000 --seed=3 --out=s20k.csv >/dev/null \
+  || fail "gen-stream 20k"
+"${MOTTO}" gen-workload --queries=100 --seed=7 --out=w100.ccl >/dev/null \
+  || fail "gen-workload 100"
+"${MOTTO}" explain --workload=w100.ccl --stream=s20k.csv > explain100.out \
+  || fail "explain 100 queries"
+grep -q -- "-- plan (exact" explain100.out \
+  || fail "Fig 13a-size plan is not exact"
+grep "^bnb:" explain100.out | grep -q "gap 0%$" \
+  || fail "Fig 13a-size bnb line has a gap"
+"${MOTTO}" explain --workload=w100.ccl --stream=s20k.csv --json=e100.json \
+  >/dev/null || fail "explain 100 queries --json"
+python3 - <<'EOF' || fail "Fig 13a-size solver JSON lacks its bound or gap"
+import json
+d = json.load(open("e100.json"))
+bnb = d["optimizer"]["solver"]["bnb"]
+assert d["exact"] and bnb["gap"] == 0, bnb
+assert 0 < bnb["lower_bound"] <= d["planned_cost"] + 1e-9, bnb
+EOF
+
 # Plan inspector exports: annotated DOT + JSON with sharing provenance.
 # --solver selects the DSMT path; anything but bnb|sa is an error.
 "${MOTTO}" explain --workload=w.ccl --stream=s.csv --solver=bogus \

@@ -2,10 +2,48 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "motto/optimizer.h"
 #include "obs/opt_trace.h"
+#include "verify/fuzzer.h"
+#include "workload/data_gen.h"
+#include "workload/query_gen.h"
 
 namespace motto {
 namespace {
+
+/// What the exact DSMT solver assumes of a sharing graph: no cycle (Kahn's
+/// order over the edges consumes every node), and finite, non-negative
+/// scratch and edge costs.
+void ExpectSolvable(const SharingGraph& graph) {
+  size_t n = graph.nodes.size();
+  std::vector<int> in_degree(n, 0);
+  for (const SharingEdge& e : graph.edges) {
+    ++in_degree[static_cast<size_t>(e.target)];
+    EXPECT_TRUE(std::isfinite(e.cost) && e.cost >= 0.0)
+        << "edge " << e.source << "->" << e.target << " costs " << e.cost;
+  }
+  std::vector<int32_t> ready;
+  for (size_t v = 0; v < n; ++v) {
+    if (in_degree[v] == 0) ready.push_back(static_cast<int32_t>(v));
+    double cost = graph.nodes[v].scratch_cost;
+    EXPECT_TRUE(std::isfinite(cost) && cost >= 0.0)
+        << "node " << graph.nodes[v].key << " costs " << cost;
+  }
+  size_t seen = 0;
+  while (!ready.empty()) {
+    int32_t v = ready.back();
+    ready.pop_back();
+    ++seen;
+    for (const SharingEdge& e : graph.edges) {
+      if (e.source == v && --in_degree[static_cast<size_t>(e.target)] == 0) {
+        ready.push_back(e.target);
+      }
+    }
+  }
+  EXPECT_EQ(seen, n) << "the sharing graph has a cycle";
+}
 
 class RewriterTest : public ::testing::Test {
  protected:
@@ -264,29 +302,73 @@ TEST_F(RewriterTest, GraphIsAcyclicDag) {
       Query("c", PatternOp::kConj, {"E1", "E3"}),
       Query("d", PatternOp::kSeq, {"E2", "E3", "E4"}, Seconds(6)),
   };
-  SharingGraph graph = Build(queries);
-  // Kahn over sharing edges must consume every node.
-  size_t n = graph.nodes.size();
-  std::vector<int> in_degree(n, 0);
-  for (const SharingEdge& e : graph.edges) {
-    ++in_degree[static_cast<size_t>(e.target)];
-  }
-  std::vector<int32_t> ready;
-  for (size_t v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) ready.push_back(static_cast<int32_t>(v));
-  }
-  size_t seen = 0;
-  while (!ready.empty()) {
-    int32_t v = ready.back();
-    ready.pop_back();
-    ++seen;
-    for (const SharingEdge& e : graph.edges) {
-      if (e.source == v && --in_degree[static_cast<size_t>(e.target)] == 0) {
-        ready.push_back(e.target);
-      }
+  ExpectSolvable(Build(queries));
+}
+
+/// Sharing graph of `queries`, nested ones divided, as the MOTTO optimizer
+/// builds it over `stream`'s statistics. The exact search is skipped (SA
+/// with no iterations returns the naive plan), so a graph it would refuse
+/// reaches ExpectSolvable instead of the search's own checks.
+SharingGraph OptimizerGraph(const std::vector<Query>& queries,
+                            const EventStream& stream,
+                            EventTypeRegistry* registry) {
+  OptimizerOptions options;
+  options.mode = OptimizerMode::kMotto;
+  options.planner.force_approximate = true;
+  options.planner.sa_iterations = 0;
+  Optimizer optimizer(registry, ComputeStats(stream), options);
+  auto outcome = optimizer.Optimize(queries);
+  EXPECT_TRUE(outcome.ok()) << outcome.status();
+  return outcome.ok() ? std::move(outcome->sharing_graph) : SharingGraph{};
+}
+
+TEST(RewriterSolvableTest, FuzzedWorkloadsGiveSolvableGraphs) {
+  int nested = 0, disj = 0, conj = 0, negated = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventTypeRegistry registry;
+    verify::FuzzOptions fuzz;
+    fuzz.num_queries = 4;
+    verify::QueryFuzzer fuzzer(&registry, fuzz, seed);
+    verify::FuzzCase fuzz_case = fuzzer.Next();
+    SharingGraph graph =
+        OptimizerGraph(fuzz_case.queries, fuzz_case.stream, &registry);
+    ExpectSolvable(graph);
+    for (const Query& query : fuzz_case.queries) {
+      if (query.pattern.NestedLevel() > 1) ++nested;
+    }
+    for (const SharingNode& node : graph.nodes) {
+      if (node.pattern.op == PatternOp::kDisj) ++disj;
+      if (node.pattern.op == PatternOp::kConj) ++conj;
+      if (!node.pattern.negated.empty()) ++negated;
     }
   }
-  EXPECT_EQ(seen, n);
+  EXPECT_GT(nested, 0);
+  EXPECT_GT(disj, 0);
+  EXPECT_GT(conj, 0);
+  EXPECT_GT(negated, 0);
+}
+
+TEST(RewriterSolvableTest, GeneratedWorkloadsGiveSolvableGraphs) {
+  for (Scenario scenario : {Scenario::kStockMarket, Scenario::kDataCenter}) {
+    for (double ratio : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE(std::string(ScenarioName(scenario)) + " r=" +
+                   std::to_string(ratio));
+      EventTypeRegistry registry;
+      StreamOptions stream_options;
+      stream_options.scenario = scenario;
+      stream_options.num_events = 20000;
+      EventStream stream = GenerateStream(stream_options, &registry);
+      WorkloadOptions workload_options;
+      workload_options.scenario = scenario;
+      workload_options.basic_ratio = ratio;
+      auto workload = GenerateWorkload(workload_options, &registry);
+      ASSERT_TRUE(workload.ok()) << workload.status();
+      SharingGraph graph = OptimizerGraph(workload->queries, stream, &registry);
+      EXPECT_FALSE(graph.edges.empty());
+      ExpectSolvable(graph);
+    }
+  }
 }
 
 // --- Optimizer-probe candidate traces (DESIGN.md §11) ---

@@ -12,6 +12,8 @@
 #include "obs/opt_trace.h"
 #include "verify/fuzzer.h"
 #include "verify/oracle.h"
+#include "workload/data_gen.h"
+#include "workload/query_gen.h"
 
 namespace motto {
 namespace {
@@ -150,6 +152,83 @@ TEST(SolverTest, BnbMatchesBruteForceOnRandomGraphs) {
   }
 }
 
+/// Exhaustive optimum over the subsets of Steiner nodes: with the selected
+/// set fixed, the best plan gives each node its cheapest in-arc from ground
+/// or a selected source.
+double SteinerSubsetOptimum(const SharingGraph& graph) {
+  const size_t n = graph.nodes.size();
+  std::vector<size_t> steiner;
+  for (size_t v = 0; v < n; ++v) {
+    if (!graph.nodes[v].terminal) steiner.push_back(v);
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (uint32_t subset = 0; subset < (1u << steiner.size()); ++subset) {
+    std::vector<bool> selected(n);
+    for (size_t v = 0; v < n; ++v) selected[v] = graph.nodes[v].terminal;
+    for (size_t i = 0; i < steiner.size(); ++i) {
+      if ((subset >> i) & 1u) selected[steiner[i]] = true;
+    }
+    double cost = 0.0;
+    for (size_t v = 0; v < n; ++v) {
+      if (!selected[v]) continue;
+      double in = graph.nodes[v].scratch_cost;
+      for (const SharingEdge& edge : graph.edges) {
+        if (edge.target == static_cast<int32_t>(v) &&
+            selected[static_cast<size_t>(edge.source)]) {
+          in = std::min(in, edge.cost);
+        }
+      }
+      cost += in;
+    }
+    best = std::min(best, cost);
+  }
+  return best;
+}
+
+TEST(SolverTest, BnbMatchesSteinerSubsetSearchWhenItBranches) {
+  // Graphs of 8-16 nodes, at least 5 of them Steiner nodes. The root bound
+  // closes most of them; the seed is chosen so that some need a branch.
+  Rng rng(1);
+  int branched = 0;
+  for (int round = 0; round < 400; ++round) {
+    int n = static_cast<int>(rng.Uniform(8, 16));
+    int steiner = static_cast<int>(rng.Uniform(5, n - 1));
+    std::vector<double> scratch;
+    for (int v = 0; v < n; ++v) {
+      scratch.push_back(static_cast<double>(rng.Uniform(1, 100)));
+    }
+    std::vector<bool> terminal(static_cast<size_t>(n), false);
+    for (int left = n - steiner; left > 0;) {
+      size_t v = static_cast<size_t>(rng.Uniform(0, n - 1));
+      if (!terminal[v]) {
+        terminal[v] = true;
+        --left;
+      }
+    }
+    std::vector<std::tuple<int, int, double>> edges;
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (rng.Bernoulli(0.6)) {
+          edges.emplace_back(u, v, static_cast<double>(rng.Uniform(1, 60)));
+        }
+      }
+    }
+    SharingGraph graph = MakeGraph(scratch, terminal, edges);
+    obs::OptimizerProbe probe;
+    PlanDecision decision = SolveBranchAndBound(graph, 60.0, &probe);
+    ASSERT_TRUE(decision.exact) << "round " << round;
+    EXPECT_NEAR(decision.cost, SteinerSubsetOptimum(graph), 1e-9)
+        << "round " << round;
+    auto check = ValidateDecision(graph, decision);
+    ASSERT_TRUE(check.ok()) << check.status();
+    EXPECT_NEAR(*check, decision.cost, 1e-9);
+    EXPECT_LE(probe.bnb.lower_bound, decision.cost + 1e-9);
+    EXPECT_EQ(probe.bnb.gap, 0.0);
+    if (probe.bnb.expansions > 1) ++branched;
+  }
+  EXPECT_GT(branched, 0) << "no round reached a branch";
+}
+
 TEST(SolverTest, SimulatedAnnealingFindsFeasibleGoodPlans) {
   Rng rng(99);
   for (int round = 0; round < 10; ++round) {
@@ -201,6 +280,45 @@ TEST(SolverTest, SelectPlanForceApproximate) {
   EXPECT_FALSE(decision.exact);
   EXPECT_LE(decision.cost, 30.0);
   EXPECT_TRUE(ValidateDecision(graph, decision).ok());
+}
+
+TEST(SolverTest, Fig13aWorkloadSolvesExactlyWithinTheDefaultBudget) {
+  // The paper's Fig 13a point: 100 stock queries at r = 100%.
+  EventTypeRegistry registry;
+  StreamOptions stream_options;
+  stream_options.num_events = 20000;
+  stream_options.seed = 3;
+  EventStream stream = GenerateStream(stream_options, &registry);
+  WorkloadOptions workload_options;
+  workload_options.num_queries = 100;
+  workload_options.basic_ratio = 1.0;
+  workload_options.seed = 7;
+  auto workload = GenerateWorkload(workload_options, &registry);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+
+  // Optimize runs SelectPlan under the default PlannerOptions.
+  OptimizerOptions optimizer_options;
+  optimizer_options.mode = OptimizerMode::kMotto;
+  obs::OptimizerProbe probe;
+  optimizer_options.probe = &probe;
+  Optimizer optimizer(&registry, ComputeStats(stream), optimizer_options);
+  auto outcome = optimizer.Optimize(workload->queries);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const SharingGraph& graph = outcome->sharing_graph;
+  const PlanDecision& decision = outcome->decision;
+  ASSERT_FALSE(graph.edges.empty());
+  EXPECT_TRUE(decision.exact);
+  EXPECT_EQ(probe.selected_solver, "bnb");
+  EXPECT_EQ(probe.bnb.gap, 0.0);
+  EXPECT_LE(probe.bnb.lower_bound, decision.cost + 1e-9);
+  auto check = ValidateDecision(graph, decision);
+  ASSERT_TRUE(check.ok()) << check.status();
+  EXPECT_NEAR(*check, decision.cost, 1e-9);
+
+  const PlannerOptions defaults;
+  PlanDecision sa =
+      SolveSimulatedAnnealing(graph, defaults.seed, defaults.sa_iterations);
+  EXPECT_GE(sa.cost, decision.cost - 1e-9);
 }
 
 /// Per-user-query fingerprint multisets from one JQP run.
@@ -287,8 +405,10 @@ TEST(SolverTest, BnbTelemetryCountsAndIncumbents) {
   PlanDecision decision = SolveBranchAndBound(graph, 5.0, &probe);
   ASSERT_TRUE(probe.bnb.recorded);
   EXPECT_GT(probe.bnb.expansions, 0u);
-  EXPECT_GT(probe.bnb.options_considered, 0u);
   EXPECT_FALSE(probe.bnb.deadline_hit);
+  // The root bound never exceeds the plan's cost; an exact plan has no gap.
+  EXPECT_LE(probe.bnb.lower_bound, decision.cost + 1e-9);
+  if (decision.exact) EXPECT_EQ(probe.bnb.gap, 0.0);
   // The naive seed is always incumbent #0, at zero expansions.
   ASSERT_FALSE(probe.bnb.incumbents.empty());
   EXPECT_EQ(probe.bnb.incumbents.front().expansions, 0u);
@@ -318,7 +438,7 @@ TEST(SolverTest, BnbTelemetryDeterministicCounts) {
   // Search counters are wall-clock-free and must agree exactly.
   EXPECT_EQ(a.bnb.expansions, b.bnb.expansions);
   EXPECT_EQ(a.bnb.pruned_by_bound, b.bnb.pruned_by_bound);
-  EXPECT_EQ(a.bnb.options_considered, b.bnb.options_considered);
+  EXPECT_EQ(a.bnb.fixed_by_reduced_cost, b.bnb.fixed_by_reduced_cost);
   EXPECT_EQ(a.bnb.incumbents.size(), b.bnb.incumbents.size());
 }
 
@@ -401,6 +521,26 @@ TEST(SolverTest, SelectPlanRecordsSelectedSolver) {
   SharingGraph edgeless = MakeGraph({10, 20}, {true, true}, {});
   SelectPlan(edgeless, naive_options);
   EXPECT_EQ(naive_probe.selected_solver, "naive");
+}
+
+TEST(SolverTest, ZeroBudgetReturnsTheIncumbentAndSelectPlanTheCheaper) {
+  SharingGraph graph = TelemetryGraph();
+  PlanDecision incumbent = SolveBranchAndBound(graph, 0.0);
+  EXPECT_FALSE(incumbent.exact);
+  auto check = ValidateDecision(graph, incumbent);
+  ASSERT_TRUE(check.ok()) << check.status();
+  EXPECT_DOUBLE_EQ(*check, incumbent.cost);
+
+  PlannerOptions options;
+  options.exact_budget_seconds = 0.0;
+  options.sa_iterations = 2000;
+  PlanDecision sa =
+      SolveSimulatedAnnealing(graph, options.seed, options.sa_iterations);
+  PlanDecision selected = SelectPlan(graph, options);
+  EXPECT_FALSE(selected.exact);
+  EXPECT_DOUBLE_EQ(selected.cost, std::min(incumbent.cost, sa.cost));
+  EXPECT_EQ(selected.choice,
+            sa.cost < incumbent.cost ? sa.choice : incumbent.choice);
 }
 
 TEST(SolverTest, ValidateDecisionCatchesInconsistencies) {

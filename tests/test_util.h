@@ -34,20 +34,31 @@ inline int IterationsFromEnv(const char* variable, int fallback) {
   return static_cast<int>(flags.Int("iters"));
 }
 
+/// How many of a differential fuzz sweep's cases may be skipped.
+enum class SkipBudget {
+  /// A quarter of them, and at least one: the plan and churn differs.
+  kQuarter,
+  /// Half of them, rounded up: the crash-recovery differ, whose oracle and
+  /// match budgets skip close to half of its fuzzed cases.
+  kHalf,
+};
+
 /// Fails the calling test on each failing case of a differential fuzz
-/// sweep, and unless the sweep checked at least one case. With
-/// `bound_skips`, at most a quarter of the cases (and at least one) may be
-/// skipped, so a sweep cannot quietly check almost nothing.
+/// sweep, unless the sweep checked at least one case, and when it skipped
+/// more cases than `budget` allows, so a sweep cannot quietly check almost
+/// nothing.
 inline void ExpectCleanSweep(const Result<verify::DiffOutcome>& outcome,
-                             bool bound_skips = true) {
+                             SkipBudget budget = SkipBudget::kQuarter) {
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   for (const verify::Failure& failure : outcome->failures) {
     ADD_FAILURE() << failure.ToString();
   }
-  EXPECT_LT(outcome->skipped, outcome->iterations) << "no case was checked";
-  if (bound_skips) {
-    EXPECT_LE(outcome->skipped, std::max(1, outcome->iterations / 4));
-  }
+  const int iterations = outcome->iterations;
+  EXPECT_LT(outcome->skipped, iterations) << "no case was checked";
+  EXPECT_LE(outcome->skipped, budget == SkipBudget::kQuarter
+                                  ? std::max(1, iterations / 4)
+                                  : (iterations + 1) / 2)
+      << "too many of " << iterations << " cases skipped";
 }
 
 /// Builds a sorted primitive stream from (type name, timestamp) pairs,

@@ -88,7 +88,10 @@ python3 tools/check_cli_docs.py build/tools/motto
 # StatusServer scrapes /metrics and /statusz from responder threads while an
 # engine thread ingests and publishes snapshots — the live-telemetry
 # reader/writer handoff (DESIGN.md §16).
-TSAN_FILTER='WorkerPool|ParallelExecutor|ParallelStress|ExecutorTest|MatcherStress|ObsEngineTest|TraceTest|DifferentialTest|ShardedExecutor|ShardedStress|ChurnStress|WireFormat|IngestQueue|ServeRecovery|StatusServer'
+# cli_smoke drives every verb end to end, the threaded and sharded runs and
+# a batch serve among them, and checks that the Fig 13a-size workload gets
+# an exact plan.
+TSAN_FILTER='WorkerPool|ParallelExecutor|ParallelStress|ExecutorTest|MatcherStress|ObsEngineTest|TraceTest|DifferentialTest|ShardedExecutor|ShardedStress|ChurnStress|WireFormat|IngestQueue|ServeRecovery|StatusServer|cli_smoke'
 
 run_config() {
   local dir="$1" sanitize="$2" test_filter="$3"
