@@ -1,9 +1,10 @@
 #include "engine/executor.h"
 
+#include <algorithm>
 #include <chrono>
-#include <limits>
+#include <iterator>
 #include <string>
-#include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -19,8 +20,18 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-constexpr Timestamp kFinalWatermark =
-    std::numeric_limits<Timestamp>::max() / 4;
+/// A sink's emission is deferred behind its negation window only for
+/// non-DISJ pattern nodes with negated types: DISJ forwards operands
+/// immediately and filters are stateless, so everything else emits at the
+/// watermark that completes the match.
+Duration SinkDeferredWindow(const JqpNode& node) {
+  const auto* pattern = std::get_if<PatternSpec>(&node.spec);
+  if (pattern == nullptr || pattern->negated.empty() ||
+      pattern->op == PatternOp::kDisj) {
+    return -1;
+  }
+  return pattern->window;
+}
 
 }  // namespace
 
@@ -101,48 +112,162 @@ void ExportRunMetrics(const RunResult& result,
   }
 }
 
+void MergeRunResult(RunResult&& part, std::span<const int32_t> global_nodes,
+                    RunResult* into) {
+  into->raw_events += part.raw_events;
+  into->elapsed_seconds += part.elapsed_seconds;
+  for (const auto& [name, count] : part.sink_counts) {
+    into->sink_counts[name] += count;
+  }
+  for (auto& [name, events] : part.sink_events) {
+    std::vector<Event>& collected = into->sink_events[name];
+    collected.insert(collected.end(), std::make_move_iterator(events.begin()),
+                     std::make_move_iterator(events.end()));
+  }
+  for (size_t i = 0; i < part.node_stats.size() && i < global_nodes.size();
+       ++i) {
+    into->node_stats[static_cast<size_t>(global_nodes[i])].Merge(
+        part.node_stats[i]);
+  }
+}
+
+Result<PlanRouting> BuildPlanRouting(const Jqp& jqp) {
+  MOTTO_RETURN_IF_ERROR(jqp.Validate());
+  PlanRouting routing;
+  MOTTO_ASSIGN_OR_RETURN(routing.topo_order, jqp.TopoOrder());
+  size_t n = jqp.nodes.size();
+  routing.consumers.assign(n, {});
+  routing.node_sinks.assign(n, {});
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t id = static_cast<int32_t>(i);
+    for (int32_t input : jqp.nodes[i].inputs) {
+      routing.consumers[static_cast<size_t>(input)].push_back(id);
+    }
+    const auto* pattern = std::get_if<PatternSpec>(&jqp.nodes[i].spec);
+    if (pattern == nullptr) continue;
+    auto reads = [&](EventTypeId t) {
+      size_t type = static_cast<size_t>(t);
+      if (type >= routing.raw_readers.size()) {
+        routing.raw_readers.resize(type + 1);
+      }
+      // Nodes arrive in ascending order, so a node reading one type through
+      // two operands is already last in the list.
+      std::vector<int32_t>& readers = routing.raw_readers[type];
+      if (readers.empty() || readers.back() != id) readers.push_back(id);
+    };
+    for (const OperandBinding& binding : pattern->operands) {
+      if (binding.channel != kRawChannel) continue;
+      for (EventTypeId t : binding.types) reads(t);
+    }
+    for (EventTypeId t : pattern->negated) reads(t);
+  }
+  for (size_t s = 0; s < jqp.sinks.size(); ++s) {
+    routing.node_sinks[static_cast<size_t>(jqp.sinks[s].node)].push_back(s);
+  }
+  routing.movable.assign(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    routing.movable[i] =
+        routing.node_sinks[i].size() == 1 && routing.consumers[i].empty();
+  }
+  return routing;
+}
+
+void SinkOutputs::Collect(size_t sink, std::vector<Event>& out, bool movable,
+                          const SinkOwnership* rule) {
+  SinkTelemetry& st = telemetry[sink];
+  std::vector<Event>* kept = events.empty() ? nullptr : &events[sink];
+  if (rule == nullptr || rule->OwnsAll()) {
+    st.matches += out.size();
+    for (const Event& ev : out) {
+      st.last_emit_ts = std::max(st.last_emit_ts, ev.end());
+    }
+    if (kept == nullptr) return;
+    if (movable) {
+      kept->insert(kept->end(), std::make_move_iterator(out.begin()),
+                   std::make_move_iterator(out.end()));
+    } else {
+      kept->insert(kept->end(), out.begin(), out.end());
+    }
+    return;
+  }
+  for (Event& ev : out) {
+    if (!rule->Owns(ev)) continue;
+    ++st.matches;
+    st.last_emit_ts = std::max(st.last_emit_ts, ev.end());
+    if (kept == nullptr) continue;
+    if (movable) {
+      kept->push_back(std::move(ev));
+    } else {
+      kept->push_back(ev);
+    }
+  }
+}
+
+RunResult StartRun(const Jqp& jqp,
+                   const std::vector<std::unique_ptr<NodeRuntime>>& runtimes,
+                   const ExecutorOptions& options, const char* last_row,
+                   SinkOutputs* sinks) {
+  size_t n = jqp.nodes.size();
+  // (Re-)attach node probes every run: with a registry when metrics are on,
+  // with nullptr otherwise so no runtime holds instruments of a past run's
+  // registry.
+  for (size_t i = 0; i < n; ++i) {
+    runtimes[i]->Reset();
+    runtimes[i]->AttachProbe(options.metrics, "node." + std::to_string(i));
+    runtimes[i]->SetEvalMode(options.eval_order);
+  }
+  if (options.trace != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      options.trace->NameThread(static_cast<int64_t>(i),
+                                jqp.NodeLabel(static_cast<int32_t>(i)));
+    }
+    options.trace->NameThread(static_cast<int64_t>(n), last_row);
+  }
+  sinks->telemetry.assign(jqp.sinks.size(), SinkTelemetry{});
+  sinks->events.assign(options.count_matches_only ? 0 : jqp.sinks.size(), {});
+  RunResult result;
+  result.node_stats.assign(n, NodeStats{});
+  // The map entries are made before any match is stored, EndRun only fills
+  // them: made after the match buffers, they raised peak RSS over repeated
+  // runs (DESIGN.md §8).
+  for (const Jqp::Sink& sink : jqp.sinks) {
+    result.sink_counts.emplace(sink.query_name, 0);
+    if (!options.count_matches_only) {
+      result.sink_events.try_emplace(sink.query_name);
+    }
+  }
+  return result;
+}
+
+void EndRun(const Jqp& jqp,
+            const std::vector<std::unique_ptr<NodeRuntime>>& runtimes,
+            const ExecutorOptions& options, SinkOutputs* sinks,
+            RunResult* result) {
+  for (size_t s = 0; s < jqp.sinks.size(); ++s) {
+    const std::string& name = jqp.sinks[s].query_name;
+    result->sink_counts[name] = sinks->telemetry[s].matches;
+    if (!sinks->events.empty()) {
+      result->sink_events[name] = std::move(sinks->events[s]);
+    }
+  }
+  for (size_t i = 0; i < runtimes.size(); ++i) {
+    runtimes[i]->CollectStats(&result->node_stats[i]);
+  }
+  if (options.trace != nullptr) {
+    // The sink's count is cumulative and shared by all of a run's workers:
+    // overwrite, never add.
+    result->trace_dropped_spans = options.trace->dropped_events();
+  }
+}
+
 Executor::Executor(Jqp jqp) : jqp_(std::move(jqp)) {}
 
 Result<Executor> Executor::Create(Jqp jqp) {
-  MOTTO_RETURN_IF_ERROR(jqp.Validate());
+  MOTTO_ASSIGN_OR_RETURN(PlanRouting routing, BuildPlanRouting(jqp));
   Executor executor(std::move(jqp));
-  MOTTO_ASSIGN_OR_RETURN(executor.topo_order_, executor.jqp_.TopoOrder());
-  size_t n = executor.jqp_.nodes.size();
-  executor.reads_raw_.assign(n, false);
-  executor.consumers_.assign(n, {});
-  for (size_t i = 0; i < n; ++i) {
-    const JqpNode& node = executor.jqp_.nodes[i];
+  executor.routing_ = std::move(routing);
+  for (const JqpNode& node : executor.jqp_.nodes) {
     executor.runtimes_.push_back(MakeNodeRuntime(node.spec));
-    for (int32_t input : node.inputs) {
-      executor.consumers_[static_cast<size_t>(input)].push_back(
-          static_cast<int32_t>(i));
-    }
-    if (const auto* pattern = std::get_if<PatternSpec>(&node.spec)) {
-      std::unordered_set<EventTypeId> types;
-      for (const OperandBinding& binding : pattern->operands) {
-        if (binding.channel == kRawChannel) {
-          types.insert(binding.types.begin(), binding.types.end());
-        }
-      }
-      for (EventTypeId t : pattern->negated) types.insert(t);
-      for (EventTypeId t : types) {
-        if (static_cast<size_t>(t) >= executor.raw_interest_.size()) {
-          executor.raw_interest_.resize(static_cast<size_t>(t) + 1);
-        }
-        executor.raw_interest_[static_cast<size_t>(t)].push_back(
-            static_cast<int32_t>(i));
-        executor.reads_raw_[i] = true;
-      }
-    }
-  }
-  std::vector<int> sink_refs(n, 0);
-  for (const Jqp::Sink& sink : executor.jqp_.sinks) {
-    ++sink_refs[static_cast<size_t>(sink.node)];
-  }
-  executor.movable_sink_.assign(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    executor.movable_sink_[i] =
-        sink_refs[i] == 1 && executor.consumers_[i].empty();
   }
   return executor;
 }
@@ -160,50 +285,26 @@ RunResult Executor::RunSpan(const Event* events, size_t count,
   return FinishSession();
 }
 
-void Executor::SetSinkBeginHorizons(std::vector<Timestamp> horizons) {
-  MOTTO_CHECK(horizons.empty() || horizons.size() == jqp_.sinks.size())
-      << "sink horizons must parallel Jqp::sinks";
-  sink_begin_horizons_ = std::move(horizons);
+void Executor::SetSinkOwnership(std::vector<SinkOwnership> rules) {
+  MOTTO_CHECK(rules.empty() || rules.size() == jqp_.sinks.size())
+      << "sink ownership rules must parallel Jqp::sinks";
+  for (size_t s = 0; s < rules.size(); ++s) {
+    rules[s].deferred_window = SinkDeferredWindow(
+        jqp_.nodes[static_cast<size_t>(jqp_.sinks[s].node)]);
+  }
+  ownership_ = std::move(rules);
 }
 
 void Executor::BeginSession(const ExecutorOptions& options) {
   session_options_ = options;
   session_seq_ = 0;
   session_active_ = true;
-
-  for (auto& runtime : runtimes_) runtime->Reset();
-
-  size_t n = jqp_.nodes.size();
-  // (Re-)attach node probes every run: with a registry when metrics are on,
-  // with nullptr otherwise so no runtime holds instruments of a past run's
-  // registry.
-  for (size_t i = 0; i < n; ++i) {
-    runtimes_[i]->AttachProbe(options.metrics, "node." + std::to_string(i));
-    runtimes_[i]->SetEvalMode(options.eval_order);
-  }
-  obs::TraceSink* trace = options.trace;
-  if (trace != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      trace->NameThread(static_cast<int64_t>(i),
-                        jqp_.NodeLabel(static_cast<int32_t>(i)));
-    }
-    trace->NameThread(static_cast<int64_t>(n), "stream");  // Watermark row.
-  }
-
-  session_result_ = RunResult{};
-  session_result_.node_stats.assign(n, NodeStats{});
-  sink_telemetry_.assign(jqp_.sinks.size(), SinkTelemetry{});
-  for (const Jqp::Sink& sink : jqp_.sinks) {
-    if (!options.count_matches_only) {
-      session_result_.sink_events.emplace(sink.query_name,
-                                          std::vector<Event>{});
-    }
-    session_result_.sink_counts.emplace(sink.query_name, 0);
-  }
+  session_result_ = StartRun(jqp_, runtimes_, options, "stream", &sinks_);
 
   // Round-local state lives in member scratch: buffers keep their capacity
   // across rounds and across Run() calls, so the steady state reuses
   // storage instead of reallocating per round.
+  size_t n = jqp_.nodes.size();
   buffers_.resize(n);
   for (auto& buffer : buffers_) buffer.clear();
   raw_stamp_.assign(n, 0);
@@ -226,7 +327,7 @@ void Executor::ProcessRound(const Event* raw, Timestamp watermark,
     for (size_t i = 0; i < n; ++i) active_stamp_[i] = seq;
   }
   bool any_sink_output = false;
-  for (int32_t idx : topo_order_) {
+  for (int32_t idx : routing_.topo_order) {
     size_t ui = static_cast<size_t>(idx);
     if (active_stamp_[ui] != seq) continue;
     NodeRuntime& runtime = *runtimes_[ui];
@@ -268,96 +369,19 @@ void Executor::ProcessRound(const Event* raw, Timestamp watermark,
     if (!out.empty()) {
       result.node_stats[ui].events_out += out.size();
       any_sink_output = true;
-      for (int32_t consumer : consumers_[ui]) {
+      for (int32_t consumer : routing_.consumers[ui]) {
         active_stamp_[static_cast<size_t>(consumer)] = seq;
       }
     }
   }
+  // Sinks are collected after the walk, not as each node finishes: inline
+  // collection raised serve's peak RSS (DESIGN.md §8).
   if (!any_sink_output) return;
   for (size_t s = 0; s < jqp_.sinks.size(); ++s) {
-    const Jqp::Sink& sink = jqp_.sinks[s];
-    size_t node = static_cast<size_t>(sink.node);
+    size_t node = static_cast<size_t>(jqp_.sinks[s].node);
     if (active_stamp_[node] != seq || buffers_[node].empty()) continue;
-    std::vector<Event>& out = buffers_[node];
-    const Timestamp begin_horizon =
-        s < sink_begin_horizons_.size()
-            ? sink_begin_horizons_[s]
-            : std::numeric_limits<Timestamp>::min();
-    if (options.sink_ranges != nullptr) {
-      // Time-sliced shard: keep only matches whose attribution key this
-      // shard owns; everything else is context warm-up another shard (or
-      // no shard) is responsible for.
-      const SinkEmitRange& range = (*options.sink_ranges)[s];
-      uint64_t kept = 0;
-      for (Event& ev : out) {
-        Timestamp key = range.deferred_window >= 0
-                            ? ev.begin() + range.deferred_window
-                            : ev.end();
-        if (key <= range.min_exclusive || key > range.max_inclusive) {
-          continue;
-        }
-        if (ev.begin() < begin_horizon) continue;
-        ++kept;
-        if (ev.end() > sink_telemetry_[s].last_emit_ts) {
-          sink_telemetry_[s].last_emit_ts = ev.end();
-        }
-        if (!options.count_matches_only) {
-          auto& collected = result.sink_events[sink.query_name];
-          if (movable_sink_[node]) {
-            collected.push_back(std::move(ev));
-          } else {
-            collected.push_back(ev);
-          }
-        }
-      }
-      result.sink_counts[sink.query_name] += kept;
-      sink_telemetry_[s].matches += kept;
-      continue;
-    }
-    if (begin_horizon > std::numeric_limits<Timestamp>::min()) {
-      // Add-point visibility (DESIGN.md §14): a sink born mid-stream only
-      // owns matches whose earliest constituent arrived at or after its
-      // birth; earlier-rooted matches belong to no plan epoch of this sink.
-      uint64_t kept = 0;
-      for (Event& ev : out) {
-        if (ev.begin() < begin_horizon) continue;
-        ++kept;
-        if (ev.end() > sink_telemetry_[s].last_emit_ts) {
-          sink_telemetry_[s].last_emit_ts = ev.end();
-        }
-        if (!options.count_matches_only) {
-          auto& collected = result.sink_events[sink.query_name];
-          if (movable_sink_[node]) {
-            collected.push_back(std::move(ev));
-          } else {
-            collected.push_back(ev);
-          }
-        }
-      }
-      result.sink_counts[sink.query_name] += kept;
-      sink_telemetry_[s].matches += kept;
-      continue;
-    }
-    result.sink_counts[sink.query_name] += out.size();
-    {
-      SinkTelemetry& st = sink_telemetry_[s];
-      st.matches += out.size();
-      for (const Event& ev : out) {
-        if (ev.end() > st.last_emit_ts) st.last_emit_ts = ev.end();
-      }
-    }
-    if (!options.count_matches_only) {
-      auto& collected = result.sink_events[sink.query_name];
-      if (movable_sink_[node]) {
-        // Terminal single-sink node: nothing else reads this buffer, so
-        // matches move instead of deep-copying their constituent vectors.
-        collected.insert(collected.end(),
-                         std::make_move_iterator(out.begin()),
-                         std::make_move_iterator(out.end()));
-      } else {
-        collected.insert(collected.end(), out.begin(), out.end());
-      }
-    }
+    sinks_.Collect(s, buffers_[node], routing_.movable[node],
+                   ownership_.empty() ? nullptr : &ownership_[s]);
   }
 }
 
@@ -377,8 +401,9 @@ void Executor::FeedSession(const Event* events, size_t count) {
                      "{\"ts_us\":" + std::to_string(raw.begin()) + "}");
     }
     bool routed = false;
-    if (static_cast<size_t>(raw.type()) < raw_interest_.size()) {
-      for (int32_t idx : raw_interest_[static_cast<size_t>(raw.type())]) {
+    size_t type = static_cast<size_t>(raw.type());
+    if (type < routing_.raw_readers.size()) {
+      for (int32_t idx : routing_.raw_readers[type]) {
         raw_stamp_[static_cast<size_t>(idx)] = session_seq_;
         active_stamp_[static_cast<size_t>(idx)] = session_seq_;
         routed = true;
@@ -406,14 +431,9 @@ std::unordered_map<std::string, std::vector<Event>>
 Executor::DrainSessionOutput() {
   MOTTO_CHECK(session_active_) << "DrainSessionOutput without BeginSession";
   std::unordered_map<std::string, std::vector<Event>> drained;
-  drained.swap(session_result_.sink_events);
-  // Re-seed the empty per-sink vectors so later rounds append in place and
-  // FinishSession still reports every sink.
-  if (!session_options_.count_matches_only) {
-    for (const Jqp::Sink& sink : jqp_.sinks) {
-      session_result_.sink_events.emplace(sink.query_name,
-                                          std::vector<Event>{});
-    }
+  for (size_t s = 0; s < sinks_.events.size(); ++s) {
+    drained.emplace(jqp_.sinks[s].query_name,
+                    std::exchange(sinks_.events[s], {}));
   }
   return drained;
 }
@@ -421,13 +441,7 @@ Executor::DrainSessionOutput() {
 RunResult Executor::SuspendSession() {
   MOTTO_CHECK(session_active_) << "SuspendSession without BeginSession";
   session_active_ = false;
-  for (size_t i = 0; i < jqp_.nodes.size(); ++i) {
-    runtimes_[i]->CollectStats(&session_result_.node_stats[i]);
-  }
-  if (session_options_.trace != nullptr) {
-    session_result_.trace_dropped_spans =
-        session_options_.trace->dropped_events();
-  }
+  EndRun(jqp_, runtimes_, session_options_, &sinks_, &session_result_);
   return std::move(session_result_);
 }
 
@@ -441,24 +455,15 @@ void Executor::SnapshotSessionNodeStats(std::vector<NodeStats>* out) const {
 RunResult Executor::FinishSession() {
   MOTTO_CHECK(session_active_) << "FinishSession without BeginSession";
   obs::TraceSink* trace = session_options_.trace;
-  Clock::time_point start = Clock::now();
-  // Final flush so window-expiry (NEG) emissions at the stream tail appear.
-  ++session_seq_;
   if (trace != nullptr) {
     trace->Instant("final_flush", static_cast<int64_t>(jqp_.nodes.size()),
                    trace->NowMicros());
   }
-  ProcessRound(nullptr, kFinalWatermark, /*activate_all=*/true);
-  session_result_.elapsed_seconds += SecondsSince(start);
-  session_active_ = false;
-  for (size_t i = 0; i < jqp_.nodes.size(); ++i) {
-    runtimes_[i]->CollectStats(&session_result_.node_stats[i]);
-  }
-  if (trace != nullptr) {
-    session_result_.trace_dropped_spans = trace->dropped_events();
-  }
-  ExportRunMetrics(session_result_, session_options_.metrics);
-  return std::move(session_result_);
+  // Final flush so window-expiry (NEG) emissions at the stream tail appear.
+  FlushSessionAt(kFinalWatermark);
+  RunResult result = SuspendSession();
+  ExportRunMetrics(result, session_options_.metrics);
+  return result;
 }
 
 }  // namespace motto

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -122,19 +123,40 @@ struct RunResult {
   uint64_t TotalMatches() const;
 };
 
-/// Ownership filter for one sink of a time-sliced shard run: only matches
-/// whose attribution key falls in (min_exclusive, max_inclusive] are
-/// emitted. The key is the timestamp at which the match's fate is sealed:
-/// `end()` for immediately-emitted matches, `begin() + deferred_window` for
-/// negation-deferred sinks (the last instant a negated event could still
-/// kill the pending match). Slicing the timeline into such intervals makes
-/// each match the responsibility of exactly one shard (DESIGN.md §12).
-struct SinkEmitRange {
+/// Watermark of the final flush round that ends every run: past every
+/// stream timestamp, so all windows expire, with headroom against overflow
+/// in `watermark + window` arithmetic.
+inline constexpr Timestamp kFinalWatermark =
+    std::numeric_limits<Timestamp>::max() / 4;
+
+/// Which matches one sink keeps (DESIGN.md §12.2, §14.2). A churn sink born
+/// mid-stream keeps only matches with begin() >= begin_horizon, its add
+/// point. A time-sliced shard's sink keeps only matches whose attribution
+/// key falls in (min_exclusive, max_inclusive]. The key is the timestamp at
+/// which the match's fate is sealed: end() for immediately-emitted matches,
+/// begin() + deferred_window for negation-deferred sinks (the last instant
+/// a negated event could still kill the pending match). The defaults keep
+/// every match.
+struct SinkOwnership {
+  Timestamp begin_horizon = std::numeric_limits<Timestamp>::min();
   Timestamp min_exclusive = std::numeric_limits<Timestamp>::min();
   Timestamp max_inclusive = std::numeric_limits<Timestamp>::max();
-  /// >= 0: the sink node defers emission behind its negation window and the
-  /// key is begin() + deferred_window; < 0: the key is end().
+  /// Set by Executor::SetSinkOwnership from the sink's node. >= 0: the node
+  /// defers emission behind its negation window and the key is begin() +
+  /// deferred_window; < 0: the key is end().
   Duration deferred_window = -1;
+
+  bool OwnsAll() const {
+    return begin_horizon == std::numeric_limits<Timestamp>::min() &&
+           min_exclusive == std::numeric_limits<Timestamp>::min() &&
+           max_inclusive == std::numeric_limits<Timestamp>::max();
+  }
+  bool Owns(const Event& match) const {
+    if (match.begin() < begin_horizon) return false;
+    Timestamp key = deferred_window >= 0 ? match.begin() + deferred_window
+                                         : match.end();
+    return key > min_exclusive && key <= max_inclusive;
+  }
 };
 
 struct ExecutorOptions {
@@ -154,11 +176,6 @@ struct ExecutorOptions {
   /// activation, plus instant/counter events for watermarks, pool epochs,
   /// ready-queue depth and backpressure stalls.
   obs::TraceSink* trace = nullptr;
-  /// Per-sink emission ownership filters, parallel to Jqp::sinks; null (the
-  /// default) keeps every match. Set by ShardedExecutor on time-sliced
-  /// replicas so context warm-up and out-of-interval matches are counted
-  /// out at the sink, before they reach the merged result.
-  const std::vector<SinkEmitRange>* sink_ranges = nullptr;
   /// Operand evaluation strategy for pattern nodes: arrival (eager, the
   /// reference semantics) or selectivity-ordered lazy matching along each
   /// node's PatternSpec::eval_order (DESIGN.md §13). Match multisets are
@@ -173,6 +190,70 @@ struct ExecutorOptions {
 /// executors call this at the end of an instrumented run; harnesses can call
 /// it again on their own registries to archive a run.
 void ExportRunMetrics(const RunResult& result, obs::MetricsRegistry* registry);
+
+/// Folds `part` into `into`: matches append per sink name by moving, and
+/// match counts, raw events and elapsed time add. `part`'s node i merges
+/// into node global_nodes[i] of `into`; an empty `global_nodes` leaves node
+/// stats alone. Merges shard replicas (DESIGN.md §12.3) and churn epochs
+/// (§14.2).
+void MergeRunResult(RunResult&& part, std::span<const int32_t> global_nodes,
+                    RunResult* into);
+
+/// Plan-static routing of a JQP, built once at Create by Executor and
+/// ParallelExecutor (DESIGN.md §8).
+struct PlanRouting {
+  /// Nodes in topological order (inputs before consumers).
+  std::vector<int32_t> topo_order;
+  /// consumers[i] lists the nodes reading node i's output.
+  std::vector<std::vector<int32_t>> consumers;
+  /// raw_readers[type] lists, ascending, the nodes that must see raw events
+  /// of that type (operands and negations). Dense by type id, so routing a
+  /// raw event is an indexed load; types beyond the table reach no node.
+  std::vector<std::vector<int32_t>> raw_readers;
+  /// node_sinks[i] lists the positions in Jqp::sinks that node i answers.
+  std::vector<std::vector<size_t>> node_sinks;
+  /// movable[i]: node i feeds exactly one sink and no node, so its matches
+  /// move into the sink instead of being deep-copied.
+  std::vector<bool> movable;
+};
+
+/// Validates `jqp` and builds its routing table.
+Result<PlanRouting> BuildPlanRouting(const Jqp& jqp);
+
+/// Output of an open run or session, indexed by position in Jqp::sinks.
+/// The name-keyed RunResult maps are filled from it once, by moving, when
+/// the run ends (EndRun) or the session's outbox drains.
+struct SinkOutputs {
+  /// Per-sink match counts and last-emit times; the only per-sink counters
+  /// while the run is open.
+  std::vector<SinkTelemetry> telemetry;
+  /// Retained matches per sink; empty under count_matches_only.
+  std::vector<std::vector<Event>> events;
+
+  /// Appends the emissions `out` of sink `sink`'s node. Without a rule, or
+  /// with one that owns everything, the whole buffer is appended in bulk;
+  /// otherwise only the matches `rule` owns. `movable`: nothing else reads
+  /// `out`, so matches move instead of being copied.
+  void Collect(size_t sink, std::vector<Event>& out, bool movable,
+               const SinkOwnership* rule);
+};
+
+/// Starts a run of `jqp` on `runtimes` (parallel to its nodes): resets each
+/// runtime, attaches its probe and evaluation mode, names the trace rows
+/// (nodes, then `last_row`), empties `sinks`, and returns the result seeded
+/// with one NodeStats per node and one map entry per sink.
+RunResult StartRun(const Jqp& jqp,
+                   const std::vector<std::unique_ptr<NodeRuntime>>& runtimes,
+                   const ExecutorOptions& options, const char* last_row,
+                   SinkOutputs* sinks);
+
+/// Ends a run begun by StartRun: moves `sinks` into `result`'s maps, keyed
+/// by sink name, adds each runtime's counters to its node stats, and records
+/// the trace's dropped spans.
+void EndRun(const Jqp& jqp,
+            const std::vector<std::unique_ptr<NodeRuntime>>& runtimes,
+            const ExecutorOptions& options, SinkOutputs* sinks,
+            RunResult* result);
 
 /// Single-threaded JQP executor. Replays a timestamp-ordered primitive
 /// stream through the plan's nodes in topological order, advancing the
@@ -201,8 +282,8 @@ class Executor {
 
   /// Starts a streaming session: resets node runtimes, installs probes and
   /// the evaluation mode, and initializes the accumulated result. Pointers
-  /// inside `options` (metrics/trace/sink_ranges) must stay valid until the
-  /// session ends.
+  /// inside `options` (metrics/trace) must stay valid until the session
+  /// ends.
   void BeginSession(const ExecutorOptions& options = ExecutorOptions{});
 
   /// Feeds a contiguous, timestamp-ordered span of primitive events into
@@ -243,7 +324,7 @@ class Executor {
   /// Jqp::sinks. Counts are cumulative since BeginSession and unaffected by
   /// DrainSessionOutput. Engine-thread only (same discipline as Feed).
   const std::vector<SinkTelemetry>& session_sink_telemetry() const {
-    return sink_telemetry_;
+    return sinks_.telemetry;
   }
 
   /// Copies the active session's per-node counters so far (events in/out
@@ -251,20 +332,11 @@ class Executor {
   /// session. Engine-thread only; `out` is overwritten.
   void SnapshotSessionNodeStats(std::vector<NodeStats>* out) const;
 
-  /// Cumulative per-sink match counts of the active session (survives
-  /// DrainSessionOutput). Engine-thread only.
-  const std::unordered_map<std::string, uint64_t>& session_sink_counts()
-      const {
-    return session_result_.sink_counts;
-  }
-
-  /// Per-sink add-point visibility horizons, parallel to Jqp::sinks: a sink
-  /// with horizon h only collects matches with begin() >= h, so a query
-  /// added mid-stream sees exactly the matches whose constituents all
-  /// arrive at or after its add point (begin() is the earliest constituent
-  /// timestamp). Empty (the default) disables the filter entirely. Applies
-  /// to Run/RunSpan and sessions alike and persists across runs.
-  void SetSinkBeginHorizons(std::vector<Timestamp> horizons);
+  /// Installs one ownership rule per sink, parallel to Jqp::sinks, and sets
+  /// each rule's deferred_window from its sink's node; empty (the default)
+  /// keeps every match. Applies to Run/RunSpan and sessions alike and
+  /// persists across runs.
+  void SetSinkOwnership(std::vector<SinkOwnership> rules);
 
   const Jqp& jqp() const { return jqp_; }
 
@@ -277,20 +349,10 @@ class Executor {
   void ProcessRound(const Event* raw, Timestamp watermark, bool activate_all);
 
   Jqp jqp_;
-  std::vector<int32_t> topo_order_;
+  PlanRouting routing_;
   std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
-  /// raw_interest_[type] lists nodes that must see raw events of that type;
-  /// dense by type id so per-event routing is an indexed load, not a hash
-  /// probe. Types beyond the table are of interest to no node.
-  std::vector<std::vector<int32_t>> raw_interest_;
-  /// Transposed interest: per node, whether it reads the raw channel at all.
-  std::vector<bool> reads_raw_;
-  /// consumers_[i] lists nodes reading node i's output (plan-static).
-  std::vector<std::vector<int32_t>> consumers_;
-  /// movable_sink_[i] is true when node i's output buffer feeds exactly one
-  /// sink and no downstream node, so collected matches can be moved out of
-  /// the buffer instead of copied.
-  std::vector<bool> movable_sink_;
+  /// Per-sink ownership rules (SetSinkOwnership); empty = keep everything.
+  std::vector<SinkOwnership> ownership_;
 
   // Per-run scratch, reused across Run() calls (Run is not re-entrant; node
   // runtimes are stateful anyway).
@@ -298,16 +360,10 @@ class Executor {
   std::vector<uint64_t> raw_stamp_;
   std::vector<uint64_t> active_stamp_;
 
-  /// Sink-level add-point filter (SetSinkBeginHorizons); empty = off.
-  std::vector<Timestamp> sink_begin_horizons_;
-
-  /// Per-sink live emission facts, parallel to Jqp::sinks; reset per
-  /// session (session_sink_telemetry).
-  std::vector<SinkTelemetry> sink_telemetry_;
-
   // Active-session state (also carries one RunSpan invocation).
   ExecutorOptions session_options_;
   RunResult session_result_;
+  SinkOutputs sinks_;
   uint64_t session_seq_ = 0;
   bool session_active_ = false;
 };

@@ -1,5 +1,6 @@
 #include "engine/graph.h"
 
+#include <string>
 #include <unordered_set>
 
 #include "engine/nfa.h"
@@ -117,6 +118,17 @@ Status Jqp::Validate() const {
         has_consumer[static_cast<size_t>(i)]) {
       return InvalidArgumentError("node " + std::to_string(i) +
                                   " with NEG has downstream consumers");
+    }
+  }
+  std::unordered_set<std::string> sink_names;
+  for (const Sink& sink : sinks) {
+    if (sink.node < 0 || sink.node >= n) {
+      return InvalidArgumentError("sink '" + sink.query_name +
+                                  "' reads out-of-range node " +
+                                  std::to_string(sink.node));
+    }
+    if (!sink_names.insert(sink.query_name).second) {
+      return InvalidArgumentError("two sinks named '" + sink.query_name + "'");
     }
   }
   return TopoOrder().ok() ? Status::Ok()

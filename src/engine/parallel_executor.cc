@@ -20,9 +20,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr Timestamp kFinalWatermark =
-    std::numeric_limits<Timestamp>::max() / 4;
-
 /// Round index of the final-flush pseudo-round (sorts after every real
 /// round). Real rounds are stream positions, exactly as in the
 /// single-threaded executor's per-event loop.
@@ -101,6 +98,9 @@ struct ParallelExecutor::Pipeline {
   /// a registry); merged into the caller's registry at run end so workers
   /// never contend on shared instruments.
   std::vector<std::unique_ptr<obs::MetricsRegistry>> worker_shards;
+  /// Per-sink output (data plane): each sink is written only by the worker
+  /// owning its node's current activation.
+  SinkOutputs sinks;
 };
 
 ParallelExecutor::ParallelExecutor(Jqp jqp, int num_threads, size_t batch_size,
@@ -126,47 +126,21 @@ Result<ParallelExecutor> ParallelExecutor::Create(Jqp jqp, int num_threads,
   if (pipe_depth < 1) {
     return InvalidArgumentError("pipe_depth must be >= 1");
   }
-  MOTTO_RETURN_IF_ERROR(jqp.Validate());
+  MOTTO_ASSIGN_OR_RETURN(PlanRouting routing, BuildPlanRouting(jqp));
   ParallelExecutor executor(std::move(jqp), num_threads, batch_size,
                             pipe_depth);
-  size_t n = executor.jqp_.nodes.size();
-  executor.raw_types_.assign(n, {});
-  executor.consumers_.assign(n, {});
-  executor.node_sinks_.assign(n, {});
-  for (size_t i = 0; i < n; ++i) {
-    const JqpNode& node = executor.jqp_.nodes[i];
+  for (const JqpNode& node : executor.jqp_.nodes) {
     executor.runtimes_.push_back(MakeNodeRuntime(node.spec));
-    for (int32_t input : node.inputs) {
-      executor.consumers_[static_cast<size_t>(input)].push_back(
-          static_cast<int32_t>(i));
-    }
-    if (const auto* pattern = std::get_if<PatternSpec>(&node.spec)) {
-      auto mark = [&](EventTypeId t) {
-        std::vector<bool>& types = executor.raw_types_[i];
-        if (static_cast<size_t>(t) >= types.size()) {
-          types.resize(static_cast<size_t>(t) + 1, false);
-        }
-        types[static_cast<size_t>(t)] = true;
-      };
-      for (const OperandBinding& binding : pattern->operands) {
-        if (binding.channel == kRawChannel) {
-          for (EventTypeId t : binding.types) mark(t);
-        }
-      }
-      for (EventTypeId t : pattern->negated) mark(t);
+  }
+  executor.raw_types_.assign(executor.jqp_.nodes.size(), {});
+  for (size_t t = 0; t < routing.raw_readers.size(); ++t) {
+    for (int32_t node : routing.raw_readers[t]) {
+      std::vector<bool>& types = executor.raw_types_[static_cast<size_t>(node)];
+      if (types.empty()) types.assign(routing.raw_readers.size(), false);
+      types[t] = true;
     }
   }
-  std::vector<int> sink_refs(n, 0);
-  for (size_t s = 0; s < executor.jqp_.sinks.size(); ++s) {
-    size_t node = static_cast<size_t>(executor.jqp_.sinks[s].node);
-    executor.node_sinks_[node].push_back(s);
-    ++sink_refs[node];
-  }
-  executor.movable_sink_.assign(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    executor.movable_sink_[i] =
-        sink_refs[i] == 1 && executor.consumers_[i].empty();
-  }
+  executor.routing_ = std::move(routing);
   if (num_threads > 1) {
     executor.pool_ = std::make_unique<WorkerPool>(num_threads - 1);
   }
@@ -180,7 +154,7 @@ bool ParallelExecutor::NodeReady(const Pipeline& p, int32_t idx) const {
   if (s.queued || s.next_batch >= p.num_batches) return false;
   // Backpressure: a producer may run at most pipe_depth batches ahead of
   // its slowest consumer (terminal nodes buffer nothing).
-  if (!consumers_[ui].empty() &&
+  if (!routing_.consumers[ui].empty() &&
       s.next_batch - s.released >= static_cast<int64_t>(pipe_depth_)) {
     return false;
   }
@@ -196,7 +170,7 @@ bool ParallelExecutor::BackpressureOnly(const Pipeline& p, int32_t idx) const {
   size_t ui = static_cast<size_t>(idx);
   const Pipeline::NodeState& s = p.nodes[ui];
   if (s.queued || s.next_batch >= p.num_batches) return false;
-  if (consumers_[ui].empty() ||
+  if (routing_.consumers[ui].empty() ||
       s.next_batch - s.released < static_cast<int64_t>(pipe_depth_)) {
     return false;
   }
@@ -211,8 +185,8 @@ bool ParallelExecutor::BackpressureOnly(const Pipeline& p, int32_t idx) const {
 void ParallelExecutor::ProcessActivation(Pipeline& p,
                                          const EventStream& stream,
                                          const ExecutorOptions& options,
-                                         RunResult* result, int32_t idx,
-                                         int64_t batch, int worker_id) {
+                                         int32_t idx, int64_t batch,
+                                         int worker_id) {
   size_t ui = static_cast<size_t>(idx);
   Pipeline::NodeState& s = p.nodes[ui];
   NodeRuntime& runtime = *runtimes_[ui];
@@ -227,7 +201,7 @@ void ParallelExecutor::ProcessActivation(Pipeline& p,
   out.clear();
   std::vector<std::pair<int64_t, size_t>>& out_rounds = s.out_rounds;
   out_rounds.clear();
-  bool track_rounds = !consumers_[ui].empty();
+  bool track_rounds = !routing_.consumers[ui].empty();
   // When tracing, the span's begin/end double as the busy-time clock reads
   // so the traced and untraced timing paths cost the same.
   obs::TraceSink* trace = options.trace;
@@ -331,23 +305,9 @@ void ParallelExecutor::ProcessActivation(Pipeline& p,
 
   // Sink accumulation: this node's activations run in batch order, one
   // worker at a time, so per-sink appends need no lock and the emission
-  // order matches the single-threaded executor. The sink maps were fully
-  // populated before workers started (no rehash can occur).
-  if (!out.empty()) {
-    for (size_t sink_idx : node_sinks_[ui]) {
-      const Jqp::Sink& sink = jqp_.sinks[sink_idx];
-      result->sink_counts.at(sink.query_name) += out.size();
-      if (!options.count_matches_only) {
-        auto& collected = result->sink_events.at(sink.query_name);
-        if (movable_sink_[ui]) {
-          collected.insert(collected.end(),
-                           std::make_move_iterator(out.begin()),
-                           std::make_move_iterator(out.end()));
-        } else {
-          collected.insert(collected.end(), out.begin(), out.end());
-        }
-      }
-    }
+  // order matches the single-threaded executor.
+  for (size_t sink : routing_.node_sinks[ui]) {
+    p.sinks.Collect(sink, out, routing_.movable[ui], nullptr);
   }
 
   // Publish to consumers: swap into the ring slot (the displaced vector's
@@ -359,13 +319,13 @@ void ParallelExecutor::ProcessActivation(Pipeline& p,
     std::swap(slot_events, out);
     s.ring_rounds[slot].clear();
     std::swap(s.ring_rounds[slot], out_rounds);
-    s.slot_refs[slot] = static_cast<int>(consumers_[ui].size());
+    s.slot_refs[slot] = static_cast<int>(routing_.consumers[ui].size());
   }
 }
 
 void ParallelExecutor::WorkerLoop(Pipeline& p, const EventStream& stream,
                                   const ExecutorOptions& options,
-                                  RunResult* result, int worker_id) {
+                                  int worker_id) {
   obs::TraceSink* trace = options.trace;
   // Stall attribution runs extra ready-checks per completion; only pay for
   // it when someone is looking.
@@ -399,7 +359,7 @@ void ParallelExecutor::WorkerLoop(Pipeline& p, const EventStream& stream,
     }
     lock.unlock();
 
-    ProcessActivation(p, stream, options, result, idx, batch, worker_id);
+    ProcessActivation(p, stream, options, idx, batch, worker_id);
 
     lock.lock();
     ++p.activations;
@@ -430,11 +390,11 @@ void ParallelExecutor::WorkerLoop(Pipeline& p, const EventStream& stream,
       ++wakeups;
     };
     size_t ui = static_cast<size_t>(idx);
-    if (!consumers_[ui].empty()) {
+    if (!routing_.consumers[ui].empty()) {
       p.max_pipe_depth = std::max<uint64_t>(
           p.max_pipe_depth,
           static_cast<uint64_t>(s.next_batch - s.released));
-      for (int32_t consumer : consumers_[ui]) try_enqueue(consumer);
+      for (int32_t consumer : routing_.consumers[ui]) try_enqueue(consumer);
     }
     // Release the input slots this activation consumed; producers blocked
     // on a full ring may become runnable again.
@@ -463,40 +423,16 @@ void ParallelExecutor::WorkerLoop(Pipeline& p, const EventStream& stream,
 Result<RunResult> ParallelExecutor::Run(const EventStream& stream,
                                         const ExecutorOptions& options) {
   MOTTO_RETURN_IF_ERROR(ValidateStream(stream));
-  for (auto& runtime : runtimes_) runtime->Reset();
-
-  size_t n = jqp_.nodes.size();
-  // (Re-)attach node probes every run: with a registry when metrics are on,
-  // with nullptr otherwise so no runtime holds instruments of a past run's
-  // registry. Probe writes happen under activation ownership (one worker
-  // per node at a time), so the shared registry's instruments are
-  // single-writer; the instrument map itself is only mutated here, before
-  // workers start.
-  for (size_t i = 0; i < n; ++i) {
-    runtimes_[i]->AttachProbe(options.metrics, "node." + std::to_string(i));
-    runtimes_[i]->SetEvalMode(options.eval_order);
-  }
-  obs::TraceSink* trace = options.trace;
-  if (trace != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      trace->NameThread(static_cast<int64_t>(i),
-                        jqp_.NodeLabel(static_cast<int32_t>(i)));
-    }
-    trace->NameThread(static_cast<int64_t>(n), "scheduler");
-  }
-
-  RunResult result;
+  // Probe writes happen under activation ownership (one worker per node at
+  // a time), so the shared registry's instruments are single-writer; the
+  // instrument map itself is only mutated here, before workers start.
+  Pipeline& p = *pipeline_;
+  RunResult result = StartRun(jqp_, runtimes_, options, "scheduler", &p.sinks);
   result.raw_events = stream.size();
-  result.node_stats.assign(n, NodeStats{});
-  for (const Jqp::Sink& sink : jqp_.sinks) {
-    if (!options.count_matches_only) {
-      result.sink_events.emplace(sink.query_name, std::vector<Event>{});
-    }
-    result.sink_counts.emplace(sink.query_name, 0);
-  }
+  size_t n = jqp_.nodes.size();
+  obs::TraceSink* trace = options.trace;
 
   // Reset the pipeline; rings and scratch keep their capacity across runs.
-  Pipeline& p = *pipeline_;
   p.num_batches =
       stream.empty()
           ? 1  // One empty batch still runs the final watermark flush.
@@ -549,27 +485,21 @@ Result<RunResult> ParallelExecutor::Run(const EventStream& stream,
   }
   if (pool_ != nullptr && p.remaining > 0) {
     auto job = [&](int worker_id) {
-      WorkerLoop(p, stream, options, &result, worker_id);
+      WorkerLoop(p, stream, options, worker_id);
     };
     pool_->Begin(job);
     job(num_threads_ - 1);  // The caller works too, as the last worker id.
     pool_->Wait();
   } else if (p.remaining > 0) {
-    WorkerLoop(p, stream, options, &result, 0);
+    WorkerLoop(p, stream, options, 0);
   }
   result.elapsed_seconds =
       std::chrono::duration<double>(Clock::now() - run_start).count();
 
   for (const std::vector<NodeStats>& per_worker : p.worker_stats) {
-    for (size_t i = 0; i < n; ++i) {
-      result.node_stats[i].events_in += per_worker[i].events_in;
-      result.node_stats[i].events_out += per_worker[i].events_out;
-      result.node_stats[i].busy_seconds += per_worker[i].busy_seconds;
-    }
+    for (size_t i = 0; i < n; ++i) result.node_stats[i].Merge(per_worker[i]);
   }
-  for (size_t i = 0; i < n; ++i) {
-    runtimes_[i]->CollectStats(&result.node_stats[i]);
-  }
+  EndRun(jqp_, runtimes_, options, &p.sinks, &result);
   result.parallel.threads = num_threads_;
   result.parallel.batches = static_cast<uint64_t>(p.num_batches);
   result.parallel.node_activations = p.activations;
@@ -583,11 +513,6 @@ Result<RunResult> ParallelExecutor::Run(const EventStream& stream,
     for (const auto& shard : p.worker_shards) {
       options.metrics->MergeFrom(*shard);
     }
-  }
-  if (options.trace != nullptr) {
-    // Workers share one sink, so overwrite (never add) to avoid
-    // double-counting drops already folded into per-worker results.
-    result.trace_dropped_spans = options.trace->dropped_events();
   }
   ExportRunMetrics(result, options.metrics);
   return result;

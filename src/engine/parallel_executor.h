@@ -77,28 +77,22 @@ class ParallelExecutor {
   /// sink output, publish to the output ring). Lock-free data plane: only
   /// one worker owns a node's activation at a time.
   void ProcessActivation(Pipeline& p, const EventStream& stream,
-                         const ExecutorOptions& options, RunResult* result,
-                         int32_t idx, int64_t batch, int worker_id);
+                         const ExecutorOptions& options, int32_t idx,
+                         int64_t batch, int worker_id);
 
   /// Scheduler loop each worker runs for the duration of one Run() epoch.
   void WorkerLoop(Pipeline& p, const EventStream& stream,
-                  const ExecutorOptions& options, RunResult* result,
-                  int worker_id);
+                  const ExecutorOptions& options, int worker_id);
 
   Jqp jqp_;
   int num_threads_ = 1;
   size_t batch_size_ = 512;
   size_t pipe_depth_ = 4;
+  PlanRouting routing_;
   std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
-  /// consumers_[i] lists nodes reading node i's output (plan-static).
-  std::vector<std::vector<int32_t>> consumers_;
-  /// node_sinks_[i] lists indices into jqp_.sinks answered by node i.
-  std::vector<std::vector<size_t>> node_sinks_;
-  /// movable_sink_[i] is true when node i's output feeds exactly one sink
-  /// and no downstream node, so matches move into the result collection.
-  std::vector<bool> movable_sink_;
-  /// Raw event types each node must see (operands + negations), as a dense
-  /// per-node bitmap indexed by type id; empty bitmap = reads no raw events.
+  /// Raw event types each node must see, as a dense per-node bitmap indexed
+  /// by type id (the transpose of routing_.raw_readers); empty bitmap =
+  /// reads no raw events.
   std::vector<std::vector<bool>> raw_types_;
   /// Persistent pool of num_threads - 1 parked workers; null for 1 thread.
   std::unique_ptr<WorkerPool> pool_;

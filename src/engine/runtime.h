@@ -1,6 +1,7 @@
 #ifndef MOTTO_ENGINE_RUNTIME_H_
 #define MOTTO_ENGINE_RUNTIME_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +49,20 @@ struct NodeStats {
   uint64_t arena_live_high_water = 0;
   /// Peak constituent slab cells in use.
   uint64_t arena_slab_high_water = 0;
+
+  /// Folds `other` in: counters and busy time add, high-water marks take
+  /// the max. Merges shard replicas' and pipelined workers' counters.
+  void Merge(const NodeStats& other) {
+    events_in += other.events_in;
+    events_out += other.events_out;
+    busy_seconds += other.busy_seconds;
+    arena_chunk_allocs += other.arena_chunk_allocs;
+    arena_chunk_reuses += other.arena_chunk_reuses;
+    arena_live_high_water =
+        std::max(arena_live_high_water, other.arena_live_high_water);
+    arena_slab_high_water =
+        std::max(arena_slab_high_water, other.arena_slab_high_water);
+  }
 };
 
 /// One partial match (or deferred pending match) lifted out of a matcher,

@@ -21,45 +21,19 @@ double SecondsSince(Clock::time_point start) {
 constexpr Timestamp kTsMin = std::numeric_limits<Timestamp>::min();
 constexpr Timestamp kTsMax = std::numeric_limits<Timestamp>::max();
 
-/// A sink's emission is deferred behind its negation window only for
-/// non-DISJ pattern nodes with negated types: DISJ forwards operands
-/// immediately and filters are stateless, so everything else emits at the
-/// watermark that completes the match.
-Duration SinkDeferredWindow(const JqpNode& node) {
-  const auto* pattern = std::get_if<PatternSpec>(&node.spec);
-  if (pattern == nullptr || pattern->negated.empty() ||
-      pattern->op == PatternOp::kDisj) {
-    return -1;
-  }
-  return pattern->window;
-}
-
-void MergeNodeStats(const NodeStats& from, NodeStats* into) {
-  into->events_in += from.events_in;
-  into->events_out += from.events_out;
-  into->busy_seconds += from.busy_seconds;
-  into->arena_chunk_allocs += from.arena_chunk_allocs;
-  into->arena_chunk_reuses += from.arena_chunk_reuses;
-  into->arena_live_high_water =
-      std::max(into->arena_live_high_water, from.arena_live_high_water);
-  into->arena_slab_high_water =
-      std::max(into->arena_slab_high_water, from.arena_slab_high_water);
-}
-
 }  // namespace
 
 ShardedExecutor::ShardedExecutor(Jqp jqp, PartitionPlan plan, int num_threads)
     : jqp_(std::move(jqp)), plan_(std::move(plan)), num_threads_(num_threads) {}
 
-Result<ShardedExecutor> ShardedExecutor::Create(
-    Jqp jqp, int num_shards, int num_threads,
-    const std::vector<double>* node_weights) {
+Result<ShardedExecutor> ShardedExecutor::Create(Jqp jqp, int num_shards,
+                                                int num_threads) {
   if (num_shards < 1) {
     return InvalidArgumentError("num_shards must be >= 1, got " +
                                 std::to_string(num_shards));
   }
   MOTTO_RETURN_IF_ERROR(jqp.Validate());
-  PartitionPlan plan = PartitionPlan::Build(jqp, num_shards, node_weights);
+  PartitionPlan plan = PartitionPlan::Build(jqp, num_shards);
   int threads = num_threads <= 0 ? static_cast<int>(plan.shards.size())
                                  : num_threads;
   threads = std::max(1, std::min(threads,
@@ -90,7 +64,6 @@ Result<ShardedExecutor> ShardedExecutor::Create(
       }
       sub.nodes.push_back(std::move(node));
     }
-    std::vector<Duration> sink_deferred;
     for (int32_t c : spec.components) {
       const PartitionComponent& comp =
           sharded.plan_.components[static_cast<size_t>(c)];
@@ -98,13 +71,10 @@ Result<ShardedExecutor> ShardedExecutor::Create(
         const Jqp::Sink& sink = sharded.jqp_.sinks[static_cast<size_t>(s)];
         sub.sinks.push_back(Jqp::Sink{
             sink.query_name, local_of[static_cast<size_t>(sink.node)]});
-        sink_deferred.push_back(SinkDeferredWindow(
-            sharded.jqp_.nodes[static_cast<size_t>(sink.node)]));
       }
     }
     MOTTO_ASSIGN_OR_RETURN(Executor replica, Executor::Create(std::move(sub)));
     Shard shard{std::move(replica)};
-    shard.sink_deferred = std::move(sink_deferred);
     shard.group = spec.group;
     shard.time_slices = spec.time_slices;
     shard.slice_index = spec.slice_index;
@@ -139,7 +109,6 @@ void ShardedExecutor::RunShard(Shard* shard, const ExecutorOptions& options) {
   // Metrics and trace stay off inside the replica: its node ids are local
   // to the sub-plan and would collide across shards. The merged result is
   // exported once, with global ids, by Run().
-  inner.sink_ranges = shard->use_ranges ? &shard->ranges : nullptr;
   shard->result = shard->executor.RunSpan(shard->data, shard->count, inner);
   shard->busy_seconds = SecondsSince(start);
   if (trace != nullptr) {
@@ -162,8 +131,7 @@ Result<RunResult> ShardedExecutor::Run(const EventStream& stream,
   // event outside the slice that needs it for a kill).
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
-    shard.use_ranges = shard.time_slices > 1;
-    if (!shard.use_ranges) {
+    if (shard.time_slices == 1) {
       shard.data = stream.data();
       shard.count = stream_size;
       shard.owned_events = stream_size;
@@ -211,12 +179,11 @@ Result<RunResult> ShardedExecutor::Run(const EventStream& stream,
     shard.count = hi - lo;
     shard.owned_events = hi - lo_owned;
     shard.context_events = lo_owned - lo;
-    shard.ranges.assign(shard.sink_deferred.size(), SinkEmitRange{});
-    for (size_t i = 0; i < shard.ranges.size(); ++i) {
-      shard.ranges[i].min_exclusive = prev_last;
-      shard.ranges[i].max_inclusive = own_last;
-      shard.ranges[i].deferred_window = shard.sink_deferred[i];
-    }
+    SinkOwnership slice;
+    slice.min_exclusive = prev_last;
+    slice.max_inclusive = own_last;
+    shard.executor.SetSinkOwnership(std::vector<SinkOwnership>(
+        shard.executor.jqp().sinks.size(), slice));
     if (own_last <= prev_last && !final_slice) shard.count = 0;
   }
 
@@ -257,14 +224,7 @@ Result<RunResult> ShardedExecutor::Run(const EventStream& stream,
   // contiguous and in stream order; groups own disjoint sinks), sink events
   // concatenated, node stats re-mapped to global ids.
   RunResult merged;
-  merged.raw_events = stream_size;
   merged.node_stats.assign(jqp_.nodes.size(), NodeStats{});
-  for (const Jqp::Sink& sink : jqp_.sinks) {
-    if (!options.count_matches_only) {
-      merged.sink_events.emplace(sink.query_name, std::vector<Event>{});
-    }
-    merged.sink_counts.emplace(sink.query_name, 0);
-  }
   ShardedRunStats& sharded = merged.sharded;
   sharded.shards = static_cast<int>(shards_.size());
   sharded.threads = threads;
@@ -273,23 +233,6 @@ Result<RunResult> ShardedExecutor::Run(const EventStream& stream,
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     RunResult& part = shard.result;
-    for (size_t li = 0; li < shard.global_nodes.size(); ++li) {
-      if (li >= part.node_stats.size()) break;
-      MergeNodeStats(part.node_stats[li],
-                     &merged.node_stats[static_cast<size_t>(
-                         shard.global_nodes[li])]);
-    }
-    for (auto& [name, count] : part.sink_counts) {
-      merged.sink_counts[name] += count;
-    }
-    if (!options.count_matches_only) {
-      for (auto& [name, events] : part.sink_events) {
-        auto& collected = merged.sink_events[name];
-        collected.insert(collected.end(),
-                         std::make_move_iterator(events.begin()),
-                         std::make_move_iterator(events.end()));
-      }
-    }
     ShardRunStats row;
     row.shard = static_cast<int>(s);
     row.group = shard.group;
@@ -303,8 +246,11 @@ Result<RunResult> ShardedExecutor::Run(const EventStream& stream,
     sharded.max_busy_seconds =
         std::max(sharded.max_busy_seconds, shard.busy_seconds);
     sharded.per_shard.push_back(row);
+    MergeRunResult(std::move(part), shard.global_nodes, &merged);
     part = RunResult{};  // Release per-shard buffers promptly.
   }
+  // Replicas replay overlapping spans: the run covers the stream once.
+  merged.raw_events = stream_size;
   if (!shards_.empty()) {
     sharded.mean_busy_seconds = busy_total / static_cast<double>(
                                                  shards_.size());

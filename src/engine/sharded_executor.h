@@ -32,18 +32,16 @@ class ShardedExecutor {
  public:
   /// Validates the plan, partitions it into `num_shards` shards and builds
   /// one replica per shard. `num_threads` <= 0 means one thread per shard;
-  /// more threads than shards are clamped. `node_weights` (parallel to
-  /// jqp.nodes) optionally biases the packing, e.g. with predicted costs.
-  static Result<ShardedExecutor> Create(
-      Jqp jqp, int num_shards, int num_threads = 0,
-      const std::vector<double>* node_weights = nullptr);
+  /// more threads than shards are clamped.
+  static Result<ShardedExecutor> Create(Jqp jqp, int num_shards,
+                                        int num_threads = 0);
 
   ShardedExecutor(ShardedExecutor&&) = default;
   ShardedExecutor& operator=(ShardedExecutor&&) = default;
 
   /// Replays `stream` through every shard and merges. Time-sliced replicas
-  /// replay their slice plus a `horizon`-deep warm-up prefix; ownership
-  /// filtering at the sinks (SinkEmitRange) keeps exactly the matches whose
+  /// replay their slice plus a `horizon`-deep warm-up prefix; each sink's
+  /// ownership rule (SinkOwnership) keeps exactly the matches whose
   /// attribution key falls in the shard's interval. RunResult::sharded
   /// carries per-shard counters; node_stats are re-mapped to global ids.
   Result<RunResult> Run(const EventStream& stream,
@@ -65,9 +63,6 @@ class ShardedExecutor {
     Duration horizon = 0;
     /// Local node id -> global node id in the full plan.
     std::vector<int32_t> global_nodes;
-    /// Local sink -> negation window when the sink defers emission, -1 for
-    /// immediate sinks (fixes each match's attribution key; executor.h).
-    std::vector<Duration> sink_deferred;
 
     // Per-run scratch, written single-threaded before dispatch and by this
     // shard's worker during it.
@@ -75,8 +70,6 @@ class ShardedExecutor {
     size_t count = 0;
     uint64_t owned_events = 0;
     uint64_t context_events = 0;
-    bool use_ranges = false;
-    std::vector<SinkEmitRange> ranges;
     RunResult result;
     double busy_seconds = 0.0;
   };

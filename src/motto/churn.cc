@@ -446,32 +446,13 @@ Result<Executor> MakeEpochExecutor(
     const WorkloadSession& session,
     const std::map<std::string, Timestamp>& birth) {
   MOTTO_ASSIGN_OR_RETURN(Executor executor, Executor::Create(session.jqp()));
-  std::vector<Timestamp> horizons;
-  horizons.reserve(session.jqp().sinks.size());
-  bool any = false;
-  for (const Jqp::Sink& sink : session.jqp().sinks) {
-    Timestamp h = kAlwaysLive;
-    auto it = birth.find(UserQueryOf(sink.query_name));
-    if (it != birth.end()) h = it->second;
-    if (h != kAlwaysLive) any = true;
-    horizons.push_back(h);
+  std::vector<SinkOwnership> rules(session.jqp().sinks.size());
+  for (size_t s = 0; s < rules.size(); ++s) {
+    auto it = birth.find(UserQueryOf(session.jqp().sinks[s].query_name));
+    if (it != birth.end()) rules[s].begin_horizon = it->second;
   }
-  executor.SetSinkBeginHorizons(any ? std::move(horizons)
-                                    : std::vector<Timestamp>{});
+  executor.SetSinkOwnership(std::move(rules));
   return executor;
-}
-
-void MergeSegment(RunResult&& segment, RunResult* merged) {
-  merged->raw_events += segment.raw_events;
-  merged->elapsed_seconds += segment.elapsed_seconds;
-  for (auto& [name, events] : segment.sink_events) {
-    std::vector<Event>& out = merged->sink_events[name];
-    out.insert(out.end(), std::make_move_iterator(events.begin()),
-               std::make_move_iterator(events.end()));
-  }
-  for (const auto& [name, count] : segment.sink_counts) {
-    merged->sink_counts[name] += count;
-  }
 }
 
 void ExportChurnMetrics(const ChurnOutcome& outcome,
@@ -544,7 +525,7 @@ Result<ChurnOutcome> RunChurn(const std::vector<Query>& initial,
     executor.FlushSessionAt(boundary);
 
     std::vector<std::string> old_keys = session.PhysicalKeys();
-    MergeSegment(executor.SuspendSession(), &outcome.result);
+    MergeRunResult(executor.SuspendSession(), {}, &outcome.result);
     std::unordered_map<std::string, NodeState> exported;
     for (size_t i = 0; i < old_keys.size(); ++i) {
       NodeState state;
@@ -605,7 +586,7 @@ Result<ChurnOutcome> RunChurn(const std::vector<Query>& initial,
   }
 
   executor.FeedSession(stream.data() + pos, stream.size() - pos);
-  MergeSegment(executor.FinishSession(), &outcome.result);
+  MergeRunResult(executor.FinishSession(), {}, &outcome.result);
 
   ExportChurnMetrics(outcome, run_options.executor.metrics);
   return outcome;

@@ -3,13 +3,15 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace motto::obs {
 
 /// Minimal JSON string escaping shared by the obs emitters (reports, traces,
-/// optimizer probes, plan inspector). Covers the characters our labels and
-/// keys can actually contain; everything below 0x20 is \u-escaped.
-inline std::string JsonEscape(const std::string& s) {
+/// metrics, optimizer probes, plan inspector). Covers the characters our
+/// labels and keys can actually contain; every other byte below 0x20 is
+/// \u-escaped.
+inline std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -22,6 +24,9 @@ inline std::string JsonEscape(const std::string& s) {
         break;
       case '\n':
         out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {

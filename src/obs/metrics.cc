@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "obs/json_util.h"
 
 namespace motto::obs {
 
@@ -19,33 +20,7 @@ std::string JsonNumber(double v) {
 }
 
 std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+  return "\"" + JsonEscape(s) + "\"";
 }
 
 }  // namespace

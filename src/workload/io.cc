@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "ccl/parser.h"
 #include "common/parse.h"
@@ -66,6 +67,7 @@ bool SplitNamePrefix(const std::string& line, std::string* name,
 Result<std::vector<Query>> ParseWorkloadText(const std::string& text,
                                              EventTypeRegistry* registry) {
   std::vector<Query> queries;
+  std::unordered_map<std::string, int> name_line;  // Name -> first line.
   std::istringstream lines(text);
   std::string line;
   int line_no = 0;
@@ -82,6 +84,13 @@ Result<std::vector<Query>> ParseWorkloadText(const std::string& text,
         explicit_name != "SELECT" && explicit_name != "select") {
       name = explicit_name;
       body = rest;
+    }
+    auto [first, fresh] = name_line.emplace(name, line_no);
+    if (!fresh) {
+      return InvalidArgumentError(
+          "line " + std::to_string(line_no) + ": duplicate query name '" +
+          name + "' (first used on line " + std::to_string(first->second) +
+          ")");
     }
     auto query = ccl::ParseQuery(body, registry, name);
     if (!query.ok()) {

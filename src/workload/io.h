@@ -12,7 +12,8 @@ namespace motto {
 
 /// Workload files: one CCL query per non-empty line; '#' starts a comment.
 /// Query names are "q1".."qN" in file order unless a line is prefixed with
-/// "name:" (e.g. "lost_packets: SELECT * FROM dc MATCHING [...]").
+/// "name:" (e.g. "lost_packets: SELECT * FROM dc MATCHING [...]"). A name
+/// used twice, explicitly or automatically, is refused with both lines.
 Result<std::vector<Query>> ParseWorkloadText(const std::string& text,
                                              EventTypeRegistry* registry);
 Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,

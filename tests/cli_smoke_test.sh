@@ -180,6 +180,18 @@ EOF
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --threads=-1 >/dev/null 2>&1
 [ $? -eq 1 ] || fail "--threads=-1 should exit 1"
 
+# Two queries under one name would merge their matches into one sink: the
+# workload is refused, naming the query, in every mode.
+printf 'q1: SELECT * FROM s MATCHING [10 sec : SEQ(A, B)]\n%s\n' \
+  'q1: SELECT * FROM s MATCHING [10 sec : SEQ(A, C)]' > dup.ccl
+for mode in motto na; do
+  "${MOTTO}" run --workload=dup.ccl --stream=s.csv --mode="${mode}" \
+    >/dev/null 2>err.txt
+  [ $? -eq 1 ] || fail "duplicate query name should exit 1 (--mode=${mode})"
+  grep -q "duplicate query name 'q1'" err.txt \
+    || fail "duplicate query name error should name q1 (--mode=${mode})"
+done
+
 # Sharded run: banner line, per-shard metrics, per-shard trace rows.
 "${MOTTO}" run --workload=w.ccl --stream=s.csv --shards=4 \
   --trace=strace.json --metrics-out=smetrics.json > shard_run.out \

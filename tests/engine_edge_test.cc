@@ -6,12 +6,15 @@
 
 #include "engine/executor.h"
 #include "engine/nfa.h"
+#include "engine/parallel_executor.h"
 #include "engine/plan_util.h"
+#include "engine/sharded_executor.h"
 #include "test_util.h"
 
 namespace motto {
 namespace {
 
+using testing::Fingerprints;
 using testing::MakeStream;
 
 class EngineEdgeTest : public ::testing::Test {
@@ -141,6 +144,24 @@ TEST_F(EngineEdgeTest, SinksOnSharedNodeCollectIndependently) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->sink_events.at("q").size(), 1u);
   EXPECT_EQ(run->sink_events.at("alias").size(), 1u);
+
+  // The node feeds two sinks, so every executor copies its matches into
+  // both: the pipelined one on its worker threads, the sharded one inside
+  // each replica before the merge.
+  auto parallel = ParallelExecutor::Create(jqp, /*num_threads=*/2,
+                                           /*batch_size=*/1);
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  auto sharded = ShardedExecutor::Create(jqp, /*num_shards=*/2);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  for (auto other : {parallel->Run(s), sharded->Run(s)}) {
+    ASSERT_TRUE(other.ok()) << other.status();
+    for (const char* sink : {"q", "alias"}) {
+      EXPECT_EQ(Fingerprints(other->sink_events.at(sink)),
+                Fingerprints(run->sink_events.at(sink)))
+          << sink;
+      EXPECT_EQ(other->sink_counts.at(sink), 1u) << sink;
+    }
+  }
 }
 
 }  // namespace

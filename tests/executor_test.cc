@@ -217,6 +217,59 @@ TEST_F(ExecutorTest, ValidateRejectsBadChannels) {
   EXPECT_FALSE(Executor::Create(jqp).ok());
 }
 
+TEST_F(ExecutorTest, ValidateRejectsBadSinks) {
+  FlatQuery q = Query("q", PatternOp::kSeq, {"E1", "E2"}, Seconds(1));
+  Jqp jqp = BuildDefaultJqp({q}, &registry_);
+  Jqp out_of_range = jqp;
+  out_of_range.sinks.push_back(Jqp::Sink{"ghost", 7});
+  Status status = out_of_range.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("'ghost'"), std::string::npos) << status;
+  EXPECT_FALSE(Executor::Create(out_of_range).ok());
+
+  Jqp duplicate = jqp;
+  duplicate.sinks.push_back(Jqp::Sink{"q", 0});
+  status = duplicate.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("'q'"), std::string::npos) << status;
+  EXPECT_FALSE(ParallelExecutor::Create(duplicate, 2).ok());
+}
+
+TEST_F(ExecutorTest, SinkOwnershipKeepsOwnedMatchesOnly) {
+  FlatQuery q = Query("q", PatternOp::kSeq, {"E1", "E2"}, Seconds(10));
+  Jqp jqp = BuildDefaultJqp({q}, &registry_);
+  auto executor = Executor::Create(jqp);
+  ASSERT_TRUE(executor.ok());
+  // Matches (begin, end): (1, 2), (1, 4), (3, 4).
+  EventStream s = MakeStream(&registry_,
+                             {{"E1", 1}, {"E2", 2}, {"E1", 3}, {"E2", 4}});
+  SinkOwnership horizon;  // A query added at 3 sees only (3, 4).
+  horizon.begin_horizon = 3;
+  executor->SetSinkOwnership({horizon});
+  auto run = executor->Run(s);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->sink_counts.at("q"), 1u);
+  ASSERT_EQ(run->sink_events.at("q").size(), 1u);
+  EXPECT_EQ(run->sink_events.at("q")[0].begin(), 3);
+
+  SinkOwnership slice;  // A time slice owning ends in (2, 4].
+  slice.min_exclusive = 2;
+  slice.max_inclusive = 4;
+  executor->SetSinkOwnership({slice});
+  executor->BeginSession();
+  executor->FeedSession(s.data(), s.size());
+  EXPECT_EQ(executor->session_sink_telemetry()[0].matches, 2u);
+  EXPECT_EQ(executor->session_sink_telemetry()[0].last_emit_ts, 4);
+  RunResult finished = executor->FinishSession();
+  EXPECT_EQ(finished.sink_counts.at("q"), 2u);
+  EXPECT_EQ(finished.sink_events.at("q").size(), 2u);
+
+  executor->SetSinkOwnership({});
+  run = executor->Run(s);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->sink_counts.at("q"), 3u);
+}
+
 TEST_F(ExecutorTest, RejectsUnsortedStream) {
   FlatQuery q = Query("q", PatternOp::kSeq, {"E1", "E2"}, Seconds(1));
   Jqp jqp = BuildDefaultJqp({q}, &registry_);

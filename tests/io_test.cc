@@ -35,6 +35,30 @@ TEST(WorkloadIoTest, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(ParseWorkloadText("# only comments\n", &registry).ok());
 }
 
+TEST(WorkloadIoTest, RejectsDuplicateQueryNames) {
+  EventTypeRegistry registry;
+  auto twice = ParseWorkloadText(
+      "q1: SELECT * FROM s MATCHING [10 sec : SEQ(A, B)]\n"
+      "\n"
+      "q1: SELECT * FROM s MATCHING [10 sec : SEQ(A, C)]\n",
+      &registry);
+  ASSERT_FALSE(twice.ok());
+  const std::string message(twice.status().message());
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("'q1'"), std::string::npos) << message;
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+
+  // The second line's automatic name is q2, which the first line took.
+  auto automatic = ParseWorkloadText(
+      "q2: SELECT * FROM s MATCHING [10 sec : SEQ(A, B)]\n"
+      "SELECT * FROM s MATCHING [10 sec : SEQ(A, C)]\n",
+      &registry);
+  ASSERT_FALSE(automatic.ok());
+  EXPECT_NE(std::string(automatic.status().message()).find("'q2'"),
+            std::string::npos)
+      << automatic.status();
+}
+
 TEST(WorkloadIoTest, RoundTripThroughText) {
   EventTypeRegistry registry;
   WorkloadOptions options;
